@@ -2,22 +2,25 @@
 //
 // The event-driven replay costs one engine event per traced operation, so
 // simulating 10^5 processors means tens of millions of heap pops even when
-// every thread just computes between barriers.  The hybrid path (DESIGN.md
-// §13) collapses contention-free segments into closed-form arithmetic and
+// every thread just computes between barriers.  The engine-free path
+// (DESIGN.md §13) collapses every segment into closed-form arithmetic and
 // runs barrier epochs analytically; on a single-cluster shared-memory
-// target every segment collapses and the event engine never starts.
+// target SimMode::Auto takes it and the event engine never starts.
 //
 // This harness measures that directly: simulate Grid and Cyclic at
-// n in {64 .. 100000} under both modes (event-driven only where feasible)
+// n in {64 .. 100000} on both paths (event-driven only where feasible)
 // against identical translated traces, and report wall time, engine events
-// fired, and segments collapsed per cell.  Hybrid and event-driven are
-// conservative-exact duals, so the harness also holds their predictions
-// bitwise equal where both run.
+// fired, and segments collapsed per cell.  The "hybrid" rows time the
+// collapse-only analytic walk: Auto over a trace without its epoch-class
+// table, so representative-epoch sampling (bench/abl_region_sampling)
+// cannot shortcut the walk.  Both paths are exact, so the harness also
+// holds their predictions bitwise equal where both run.
 //
 // Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/4),
-// which gates Hybrid >= 10x event-driven at n=1024 on both benchmarks.
+// which gates the analytic walk >= 10x event-driven at n=1024 on both
+// benchmarks.
 //
-//   --smoke   run only the Hybrid grid n=100000 cell (the CI huge-n smoke
+//   --smoke   run only the analytic grid n=100000 cell (the CI huge-n smoke
 //             budget is one minute for the whole measure->predict pipeline)
 #include <time.h>
 
@@ -72,7 +75,6 @@ suite::SuiteConfig config_for(const std::string& bench, int n) {
 const char* path_name(core::HybridStats::Path p) {
   switch (p) {
     case core::HybridStats::Path::Event: return "event";
-    case core::HybridStats::Path::Mixed: return "mixed";
     case core::HybridStats::Path::PureAnalytic: return "analytic";
   }
   return "?";
@@ -146,14 +148,15 @@ int run(bool smoke) {
       mo.n_threads = n;
       const trace::Trace measured = rt::measure(*prog, mo);
       const double measure_s = now_s() - m0;
-      const core::TranslatedTrace prepared = core::prepare_trace(measured);
+      core::TranslatedTrace prepared = core::prepare_trace(measured);
       const double prep_s = now_s() - m0;
+      prepared = without_epoch_classes(std::move(prepared));
 
       const bool event_feasible = n <= 1024;
       Cell ev, hy;
       if (event_feasible)
         ev = run_cell(prepared, params, core::SimMode::EventDriven, n);
-      hy = run_cell(prepared, params, core::SimMode::Hybrid, n);
+      hy = run_cell(prepared, params, core::SimMode::Auto, n);
 
       const std::string key = study.bench + "_" + std::to_string(n);
       if (event_feasible) {

@@ -103,4 +103,16 @@ inline void shape_check(const std::string& claim, bool holds) {
   std::cout << "  [" << (holds ? "OK " : "??? ") << "] " << claim << '\n';
 }
 
+/// `prepared` without its epoch-class table, so SimMode::Auto runs the
+/// plain engine-free walk of every epoch instead of sampling one exemplar
+/// per class — the collapse-only comparison point of the hybrid and
+/// sampling ablations.  Predictions are unchanged (both paths are exact).
+inline core::TranslatedTrace without_epoch_classes(
+    core::TranslatedTrace prepared) {
+  auto compiled = std::make_shared<core::CompiledTrace>(*prepared.compiled);
+  compiled->epoch_classes = {};
+  prepared.compiled = std::move(compiled);
+  return prepared;
+}
+
 }  // namespace xp::bench

@@ -37,8 +37,9 @@ BENCHMARK(BM_EngineScheduleFire)->Arg(1000)->Arg(100000);
 
 // Schedule/cancel-heavy: every other scheduled event is cancelled before
 // it can fire, then the survivors run.  Exercises the O(1) tombstone
-// cancel plus the front-of-queue tombstone skip — the pattern the tuner's
-// poll/timeout events produce.
+// cancel plus the front-of-queue tombstone skip — the pattern the
+// simulator's interrupt preemption produces (a preempted compute chunk's
+// completion is cancelled and rescheduled).
 void BM_EngineScheduleCancel(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   std::vector<sim::EventId> ids(static_cast<std::size_t>(batch));

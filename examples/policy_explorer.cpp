@@ -8,7 +8,7 @@
 // runtime-system configuration per processor count.
 #include <iostream>
 
-#include "core/extrapolator.hpp"
+#include "core/sweep.hpp"
 #include "suite/suite.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -46,29 +46,46 @@ int main(int argc, char** argv) {
       configs.push_back({"poll " + util::Table::num(us) + "us",
                          model::ServicePolicy::Poll, us});
 
+    // Measure and translate once per processor count; one sweep simulates
+    // every policy against each count's translated trace.
+    core::SweepOptions opt;
+    opt.emit_traces = false;
+    core::SweepRunner runner(opt);
+    for (int n : procs) {
+      auto prog = suite::make_by_name(args.get("bench"));
+      rt::MeasureOptions mo;
+      mo.n_threads = n;
+      runner.seed_trace(rt::measure(*prog, mo));
+    }
+    std::vector<core::SweepPoint> grid;
+    for (int n : procs)
+      for (const auto& c : configs) {
+        core::SweepPoint p;
+        p.n_threads = n;
+        p.params = model::distributed_preset();
+        p.params.comm.comm_startup =
+            util::Time::us(args.get_double("startup"));
+        p.params.proc.policy = c.policy;
+        if (c.poll_us > 0)
+          p.params.proc.poll_interval = util::Time::us(c.poll_us);
+        p.label = c.label;
+        grid.push_back(std::move(p));
+      }
+    const core::SweepResult sweep = runner.run(grid);
+
     std::vector<std::string> headers{"procs"};
     for (const auto& c : configs) headers.push_back(c.label);
     headers.push_back("best");
     util::Table t(headers);
 
-    for (int n : procs) {
-      // Measure once per processor count, simulate every policy.
-      auto prog = suite::make_by_name(args.get("bench"));
-      rt::MeasureOptions mo;
-      mo.n_threads = n;
-      const trace::Trace measured = rt::measure(*prog, mo);
-
-      std::vector<std::string> row{std::to_string(n)};
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      std::vector<std::string> row{std::to_string(procs[i])};
       util::Time best_time = util::Time::max();
       std::string best;
-      for (const auto& c : configs) {
-        auto params = model::distributed_preset();
-        params.comm.comm_startup = util::Time::us(args.get_double("startup"));
-        params.proc.policy = c.policy;
-        if (c.poll_us > 0) params.proc.poll_interval = util::Time::us(c.poll_us);
+      for (std::size_t k = 0; k < configs.size(); ++k) {
+        const Config& c = configs[k];
         const util::Time pred =
-            core::Extrapolator(params).extrapolate_trace(measured)
-                .predicted_time;
+            sweep.predictions[i * configs.size() + k].predicted_time;
         row.push_back(pred.str());
         if (pred < best_time) {
           best_time = pred;

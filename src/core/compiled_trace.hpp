@@ -62,9 +62,9 @@ struct RemoteRec {
 /// hybrid-simulation sense): ops[op_begin..op_end] where ops[op_end] is the
 /// terminating Barrier (or End for the final segment).  Segment e of every
 /// thread lies between global barrier e-1's release and barrier e's release,
-/// so when no cross-cluster remote access touches a thread during an epoch
-/// the whole slice has a closed-form cost and the simulator can skip the
-/// event engine for it (core/simulator.hpp, SimMode::Hybrid).  `presum` is
+/// so when no remote access crosses a cluster boundary the whole slice has
+/// a closed-form cost and the simulator can skip the event engine for it
+/// (core/simulator.hpp, SimMode::Auto).  `presum` is
 /// the compile-time pre-summed record: the unscaled compute total of the
 /// slice, exact to use whole when MipsRatio == 1 and the service policy is
 /// not Poll (Time scaling is llround per interval, so a scaled sum is not a

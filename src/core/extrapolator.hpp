@@ -51,8 +51,8 @@ TranslatedTrace prepare_trace(const trace::Trace& measured,
 /// Run the simulation-side half: replay a prepared trace against one
 /// parameter set.  Pure — identical inputs give bitwise-identical
 /// Predictions, the property the sweep differential tests pin down.
-/// `opts` selects the simulation mode (core/simulator.hpp); Hybrid/Auto
-/// are conservative-exact, so every mode yields the same numbers.
+/// `opts` tunes the simulation (core/simulator.hpp); the default Auto
+/// path is exact, so it yields the same numbers as the EventDriven oracle.
 Prediction predict(const TranslatedTrace& prepared, const SimParams& params,
                    const SimOptions& opts = {});
 

@@ -125,12 +125,6 @@ struct ThreadCtx {
 
   TState state = TState::Start;
 
-  // True while the hybrid fast path is replaying one of this thread's
-  // collapsed segments analytically (core/simulator.hpp, SimMode::Hybrid).
-  // The classifier guarantees no message can target such a thread; a
-  // delivery anyway means a misclassification and trips a loud check.
-  bool fastforwarding = false;
-
   // Current barrier bookkeeping (message protocol).
   std::int32_t cur_barrier = -1;
   bool self_arrived = false;
@@ -176,19 +170,18 @@ class Simulator {
       threads_.push_back(std::move(ctx));
     }
     cpus_.resize(static_cast<std::size_t>(n_procs_));
-    classify(compiled);
+    choose_path(compiled);
   }
 
   SimResult run() {
     if (hyb_.path == HybridStats::Path::PureAnalytic) {
-      // Representative-epoch sampling (SimMode::Auto, DESIGN.md §15): only
-      // on the engine-free path, only without trace emission (every epoch
-      // must be walked to emit its events), and only when the compile-time
-      // epoch-class table exists (hand-built CompiledTrace instances may
-      // predate it).  Dedup is bitwise-exact, so eligibility — not
-      // correctness — is the only thing these conditions guard.
-      if (opts_.mode == SimMode::Auto && !opts_.emit_trace &&
-          compiled_->epoch_classes.built())
+      // Representative-epoch sampling (DESIGN.md §15): only without trace
+      // emission (every epoch must be walked to emit its events), and only
+      // when the compile-time epoch-class table exists (hand-built
+      // CompiledTrace instances may predate it).  Dedup is bitwise-exact,
+      // so eligibility — not correctness — is the only thing these
+      // conditions guard.
+      if (!opts_.emit_trace && compiled_->epoch_classes.built())
         run_analytic_sampled();
       else
         run_analytic();
@@ -222,70 +215,48 @@ class Simulator {
   }
 
  private:
-  // --- hybrid segment classifier (SimMode::Hybrid / Auto) -------------------
+  // --- path choice (SimMode::Auto) ------------------------------------------
   //
-  // A (epoch, thread) segment has a closed-form cost — and can skip the
-  // event engine — iff nothing can interleave with the thread's own replay
-  // during that epoch:
+  // A run has a closed-form cost — and skips the event engine entirely —
+  // iff nothing can interleave with any thread's own replay:
   //
   //   * every thread owns its processor (n_procs >= n_threads), so there is
   //     no CPU sharing between threads,
   //   * barriers resolve analytically (no barrier message traffic), with
   //     identical barrier sequences so epochs advance in lockstep,
-  //   * the segment performs no cross-cluster remote access (it would block
-  //     on request/reply messages whose latency depends on network state),
-  //     and no other thread's same-epoch segment targets this thread as a
-  //     cross-cluster owner (servicing the request would consume this CPU
-  //     at a message-determined time — the contended-owner case of the
-  //     per-owner access histogram).
+  //   * no remote access crosses a cluster boundary (the accessor would
+  //     block on request/reply messages whose latency depends on network
+  //     state, and servicing the request would consume the owner's CPU at
+  //     a message-determined time).
   //
   // Same-processor accesses are free and intra-cluster accesses cost a
   // fixed latency + per-byte copy on the accessing CPU only, so both stay
-  // inside the closed form.  The epoch granularity is sound because every
-  // remote access issued in epoch e completes — including the owner-side
-  // service — before barrier e releases: the accessor blocks on the reply
-  // and cannot reach the barrier until it arrives.  Demotion marks BOTH
-  // endpoints of a cross-cluster access for that epoch; everything else is
-  // provably exact, which is why Hybrid is bitwise-identical to EventDriven.
-  void classify(const CompiledTrace& compiled) {
+  // inside the closed form.  Anything else replays through the engine;
+  // both paths are exact, so the choice changes speed, never a result.
+  void choose_path(const CompiledTrace& compiled) {
     for (const CompiledThread& th : compiled.threads)
       hyb_.segments_total += static_cast<std::int64_t>(th.segments.size());
     if (opts_.mode == SimMode::EventDriven) return;
-    if (n_procs_ < n_ || !compiled.uniform_barriers || use_messages()) {
+    if (n_procs_ < n_ || !compiled.uniform_barriers || use_messages() ||
+        has_cross_cluster_access(compiled)) {
       hyb_.segments_demoted = hyb_.segments_total;
       return;
     }
     epochs_ = static_cast<std::int64_t>(compiled.threads[0].segments.size());
-    hyb_.epochs = epochs_;
-    blocked_.assign(static_cast<std::size_t>(epochs_ * n_), 0);
-    if (params_.cluster.procs_per_cluster < n_procs_) {
-      // Multiple clusters: walk each segment's remote slice and demote both
-      // endpoints of every cross-cluster access for that epoch.
-      for (int t = 0; t < n_; ++t) {
-        const CompiledThread& th = compiled.threads[static_cast<std::size_t>(t)];
-        for (std::int64_t e = 0; e < epochs_; ++e) {
-          const Segment& seg = th.segments[static_cast<std::size_t>(e)];
-          for (std::uint32_t ri = seg.remote_begin; ri < seg.remote_end; ++ri) {
-            const RemoteRec& rec = th.remotes[ri];
-            if (rec.peer == t) continue;  // same processor: free, no traffic
-            if (cluster_of(rec.peer) == cluster_of(t)) continue;
-            blocked_[static_cast<std::size_t>(e * n_ + t)] = 1;
-            blocked_[static_cast<std::size_t>(e * n_ + rec.peer)] = 1;
-          }
-        }
-      }
-    }
-    for (const char b : blocked_) hyb_.segments_demoted += b;
-    hyb_.segments_collapsed = hyb_.segments_total - hyb_.segments_demoted;
-    if (hyb_.segments_collapsed == 0) return;  // nothing to gain: pure event
-    hybrid_active_ = true;
-    hyb_.path = hyb_.segments_demoted == 0 ? HybridStats::Path::PureAnalytic
-                                           : HybridStats::Path::Mixed;
+    hyb_.segments_collapsed = hyb_.segments_total;
+    hyb_.path = HybridStats::Path::PureAnalytic;
   }
 
-  bool collapsible(const ThreadCtx& T) const {
-    return !blocked_[static_cast<std::size_t>(
-        static_cast<std::int64_t>(T.barrier) * n_ + T.id)];
+  /// Thread t runs on processor t here (n_procs >= n_threads), so thread
+  /// ids index clusters directly.
+  bool has_cross_cluster_access(const CompiledTrace& compiled) const {
+    if (params_.cluster.procs_per_cluster >= n_procs_) return false;
+    for (int t = 0; t < n_; ++t)
+      for (const RemoteRec& rec :
+           compiled.threads[static_cast<std::size_t>(t)].remotes)
+        if (rec.peer != t && cluster_of(rec.peer) != cluster_of(t))
+          return true;
+    return false;
   }
 
   // --- CPU management -----------------------------------------------------
@@ -348,17 +319,12 @@ class Simulator {
 
   void proceed(ThreadCtx& T) {
     XP_CHECK(T.op < T.code->ops.size(), "replay ran past end of trace");
-    if (hybrid_active_ &&
-        T.op == T.code->segments[T.barrier].op_begin && collapsible(T)) {
-      fast_forward(T);
-      return;
-    }
     const Time scaled =
         model::scale_compute(params_.proc, T.code->pre_delta[T.op]);
     start_compute(T, scaled);
   }
 
-  // --- hybrid fast path -----------------------------------------------------
+  // --- engine-free path -----------------------------------------------------
 
   /// Replay one collapsed segment analytically from `start`: advance the
   /// replay cursors, accumulate the same per-op stats the event path would,
@@ -390,9 +356,8 @@ class Simulator {
       T.stats.remote_accesses +=
           static_cast<std::int64_t>(seg.remote_end) - seg.remote_begin;
       if (seg.nonself_remotes > 0) {
-        // Every non-self access in a collapsed segment is intra-cluster:
-        // the contention pre-pass marks both endpoints of cross-cluster
-        // remotes, so a blocked thread never reaches this path.
+        // Every non-self access is intra-cluster: choose_path() sends any
+        // run with a cross-cluster access to the event engine.
         const std::int64_t bytes_sum =
             params_.size_mode == model::TransferSizeMode::Declared
                 ? seg.nonself_declared_bytes
@@ -415,9 +380,6 @@ class Simulator {
           for (std::uint32_t r = seg.remote_begin; r < seg.remote_end; ++r) {
             const RemoteRec& rec = code.remotes[r];
             if (rec.peer == T.id) continue;
-            XP_CHECK(cluster_of(rec.peer) == cluster_of(T.proc),
-                     "hybrid misclassification: cross-cluster access in a "
-                     "collapsed segment");
             ++T.stats.intra_cluster_accesses;
             const std::int64_t bytes = model::reply_payload_bytes(
                 params_.size_mode, rec.declared_bytes, rec.actual_bytes);
@@ -461,9 +423,6 @@ class Simulator {
           const RemoteRec& rec = code.remotes[T.remote++];
           ++T.stats.remote_accesses;
           if (rec.peer != T.id) {
-            XP_CHECK(cluster_of(rec.peer) == cluster_of(T.proc),
-                     "hybrid misclassification: cross-cluster access in a "
-                     "collapsed segment");
             ++T.stats.intra_cluster_accesses;
             const std::int64_t bytes = model::reply_payload_bytes(
                 params_.size_mode, rec.declared_bytes, rec.actual_bytes);
@@ -479,34 +438,6 @@ class Simulator {
           break;
       }
     }
-  }
-
-  void fast_forward(ThreadCtx& T) {
-    T.fastforwarding = true;
-    T.state = TState::Computing;
-    const Segment& seg = T.code->segments[T.barrier];
-    const Time at = walk_segment(T, seg, engine_.now());
-    const std::uint32_t i = T.op;
-    if (T.code->ops[i] == OpKind::End) {
-      ++hyb_.ops_collapsed;
-      T.op = i + 1;
-      T.fastforwarding = false;
-      emit_at(T, T.code->proto[i], at);
-      T.state = TState::Done;
-      T.stats.finish = at;
-      // The inbox is provably empty (no inbound traffic in a collapsed
-      // segment), so the event path's drain at End has nothing to do.
-      return;
-    }
-    // Terminating barrier: re-enter the engine exactly where event-driven
-    // replay would have executed the Barrier op, then run the normal
-    // barrier machinery so mixed epochs synchronize with event threads.
-    engine_.schedule_at(at, [this, &T, i] {
-      T.fastforwarding = false;
-      T.op = i + 1;
-      emit(T, T.code->proto[i]);
-      begin_barrier(T, T.code->barrier_ids[T.barrier++]);
-    });
   }
 
   /// The engine-free path: every segment of every thread collapsed, so the
@@ -565,7 +496,7 @@ class Simulator {
     }
   }
 
-  // --- representative-epoch sampling (SimMode::Auto, DESIGN.md §15) --------
+  // --- representative-epoch sampling (DESIGN.md §15) -------------------------
   //
   // Why Σ class_count × exemplar_advance is EXACT on the pure-analytic
   // path:
@@ -896,9 +827,6 @@ class Simulator {
 
   void deliver_request(const Msg& req) {
     ThreadCtx& O = thr(req.to);
-    XP_CHECK(!O.fastforwarding,
-             "hybrid misclassification: request delivered to a thread in a "
-             "collapsed segment");
     switch (O.state) {
       case TState::Computing:
         switch (params_.proc.policy) {
@@ -1116,7 +1044,7 @@ class Simulator {
   void emit(ThreadCtx& T, const Event& e) { emit_at(T, e, engine_.now()); }
 
   // By reference so the no-trace configurations (sweeps, serve, huge-n
-  // hybrid runs) skip the Event copy entirely — it is measurable per-op.
+  // analytic runs) skip the Event copy entirely — it is measurable per-op.
   void emit_at(ThreadCtx& T, const Event& e, Time at) {
     if (!opts_.emit_trace) return;
     Event out = e;
@@ -1138,10 +1066,8 @@ class Simulator {
   std::map<std::int32_t, AnalyticBarrier> analytic_;
   std::vector<Event> out_events_;
 
-  // Hybrid-mode state (classify()).
-  bool hybrid_active_ = false;
+  // Path state (choose_path()).
   std::int64_t epochs_ = 0;
-  std::vector<char> blocked_;  ///< epochs_ x n_: segment demoted to events
   HybridStats hyb_;
   SamplingStats samp_;
 };
@@ -1164,15 +1090,6 @@ Time SimResult::total_barrier_wait() const {
   Time t;
   for (const auto& s : threads) t += s.barrier_wait;
   return t;
-}
-
-const char* to_string(SimMode m) {
-  switch (m) {
-    case SimMode::EventDriven: return "event";
-    case SimMode::Hybrid: return "hybrid";
-    case SimMode::Auto: return "auto";
-  }
-  return "?";
 }
 
 SimResult simulate(const std::vector<trace::Trace>& translated,

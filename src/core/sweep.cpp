@@ -391,7 +391,6 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
           const double cpu0 = thread_cpu_seconds();
           try {
             SimOptions sopts;
-            sopts.mode = grid[i].mode;
             sopts.emit_trace = opt_.emit_traces;
             sopts.epoch_tolerance = opt_.epoch_tolerance;
             out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
@@ -407,7 +406,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   for (double s : sim_cpu) out.stages.simulate_cpu_s += s;
   if (first_error) std::rethrow_exception(first_error);
 
-  // Simulate-mode attribution: events fired vs segments skipped, summed
+  // Simulate-path attribution: events fired vs segments skipped, summed
   // over the grid so scaling rows can tell engine work from analytic work.
   for (const Prediction& p : out.predictions) {
     const HybridStats& h = p.sim.hybrid;
@@ -437,8 +436,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
 
 SweepResult SweepRunner::run_grid(const std::vector<int>& procs,
                                   const std::vector<model::SimParams>& machines,
-                                  const std::vector<std::string>& labels,
-                                  SimMode mode) {
+                                  const std::vector<std::string>& labels) {
   XP_REQUIRE(labels.empty() || labels.size() == machines.size(),
              "run_grid: one label per machine (or none)");
   std::vector<SweepPoint> grid;
@@ -449,7 +447,6 @@ SweepResult SweepRunner::run_grid(const std::vector<int>& procs,
       p.n_threads = n;
       p.params = machines[m];
       p.label = labels.empty() ? "set" + std::to_string(m) : labels[m];
-      p.mode = mode;
       grid.push_back(std::move(p));
     }
   }

@@ -140,10 +140,6 @@ struct SweepPoint {
   int n_threads = 0;
   model::SimParams params;
   std::string label;  ///< free-form series tag (machine name, hypothesis, …)
-  /// Simulation mode for this cell (core/simulator.hpp).  Hybrid/Auto are
-  /// conservative-exact, so mode choice never changes the prediction — only
-  /// how much of the replay the event engine runs.
-  SimMode mode = SimMode::EventDriven;
 };
 
 /// Per-stage timing of one sweep, for the scaling benchmarks.  Every stage
@@ -161,18 +157,18 @@ struct SweepStages {
   double prewarm_wall_s = 0;   ///< wall time of the measure/translate stage
   double simulate_wall_s = 0;  ///< wall time of the simulation fan-out
 
-  // Simulate-mode breakdown: how the grid's replay work split between the
-  // event engine and the hybrid analytic fast path, so scaling rows can
+  // Simulate-path breakdown: how the grid's replay work split between the
+  // event engine and the engine-free analytic path, so scaling rows can
   // attribute wins (events fired vs segments skipped).
-  std::int64_t cells_event = 0;     ///< cells simulated fully event-driven
-  std::int64_t cells_hybrid = 0;    ///< cells where segments collapsed
+  std::int64_t cells_event = 0;     ///< cells replayed through the engine
+  std::int64_t cells_hybrid = 0;    ///< cells on the engine-free path
   std::int64_t sim_events_fired = 0;       ///< engine events, whole grid
   std::int64_t sim_segments_collapsed = 0; ///< analytic segments, whole grid
   std::int64_t sim_segments_total = 0;     ///< all segments, whole grid
   std::int64_t sim_ops_collapsed = 0;      ///< replay steps skipped
 
-  // Representative-epoch sampling attribution (SimMode::Auto cells that
-  // took the sampled path, core::SamplingStats): how much trace LENGTH the
+  // Representative-epoch sampling attribution (cells that took the
+  // sampled path, core::SamplingStats): how much trace LENGTH the
   // grid's replays skipped by walking one exemplar per epoch class.
   std::int64_t cells_sampled = 0;        ///< cells on the sampled path
   std::int64_t sim_epochs_total = 0;     ///< epochs across sampled cells
@@ -202,9 +198,9 @@ struct SweepOptions {
   /// Keep each prediction's extrapolated trace (SimOptions::emit_trace).
   /// phase_fit and pattern composition read them, so they stay on by
   /// default; prediction-only sweeps can turn them off, which also lets
-  /// Auto cells take the representative-epoch sampled path.
+  /// engine-free cells take the representative-epoch sampled path.
   bool emit_traces = true;
-  /// Epoch-class clustering tolerance for Auto cells
+  /// Epoch-class clustering tolerance
   /// (SimOptions::epoch_tolerance).  Only reachable when emit_traces is
   /// off; 0 keeps the sampled path bitwise-exact.
   double epoch_tolerance = 0.0;
@@ -236,11 +232,10 @@ class SweepRunner {
 
   /// Convenience: the full cross product procs x machines, row-major
   /// (machine-major: all procs of machines[0] first).  `labels` names each
-  /// machine series; empty = "set<i>".  `mode` applies to every cell.
+  /// machine series; empty = "set<i>".
   SweepResult run_grid(const std::vector<int>& procs,
                        const std::vector<model::SimParams>& machines,
-                       const std::vector<std::string>& labels = {},
-                       SimMode mode = SimMode::EventDriven);
+                       const std::vector<std::string>& labels = {});
 
   const SweepOptions& options() const { return opt_; }
   TranslateCache& cache() { return *cache_; }

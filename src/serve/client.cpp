@@ -7,7 +7,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -135,6 +134,11 @@ std::string Client::wait_ok(Ticket id) {
   WireReader r(f.body);
   const std::uint8_t status = r.u8();
   if (status != 0) throw ServeError("server: " + r.str());
+  // Error bodies read the same in every version; ok bodies do not.
+  if (f.version != kProtocolVersion)
+    throw ProtocolError("server speaks protocol version " +
+                        std::to_string(f.version) + ", this client " +
+                        std::to_string(kProtocolVersion));
   return std::string(r.rest());
 }
 
@@ -184,22 +188,10 @@ std::vector<QueryResult> Client::query_batch(
 
 Client::Ticket Client::submit_batch(std::uint64_t session,
                                     const std::vector<Query>& queries) {
-  // All-default batches keep the flagless (pre-mode) wire form, so a
-  // client that never asks for an explicit mode or a sampling tolerance
-  // stays compatible with servers that predate the flags.  Each flag is
-  // raised independently, only when some query actually needs it.
-  const bool with_modes =
-      std::any_of(queries.begin(), queries.end(),
-                  [](const Query& q) { return q.mode != QueryMode::Auto; });
-  const bool with_sampling =
-      std::any_of(queries.begin(), queries.end(),
-                  [](const Query& q) { return q.epoch_tolerance > 0.0; });
   WireWriter w;
   w.u64(session);
-  w.u32(static_cast<std::uint32_t>(queries.size()) |
-        (with_modes ? kBatchHasModes : 0u) |
-        (with_sampling ? kBatchHasSampling : 0u));
-  for (const Query& q : queries) encode_query(w, q, with_modes, with_sampling);
+  w.u32(static_cast<std::uint32_t>(queries.size()));
+  for (const Query& q : queries) encode_query(w, q);
   return send_request(MsgType::QueryBatch, w.data());
 }
 
@@ -219,15 +211,11 @@ PatternModelResult Client::pattern_model(std::uint64_t session,
 std::vector<QueryResult> Client::wait_batch(Ticket t) {
   const std::string body = wait_ok(t);
   WireReader r(body);
-  // The server echoes kBatchHasSampling on the count when the results
-  // carry sampling attribution, so decoding needs no submit-side state.
-  const std::uint32_t raw_count = r.u32();
-  const bool with_sampling = (raw_count & kBatchHasSampling) != 0;
-  const std::uint32_t count = raw_count & ~kBatchHasSampling;
+  const std::uint32_t count = r.u32();
   std::vector<QueryResult> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i)
-    out.push_back(decode_query_result(r, with_sampling));
+    out.push_back(decode_query_result(r));
   r.expect_end();
   return out;
 }
@@ -235,9 +223,9 @@ std::vector<QueryResult> Client::wait_batch(Ticket t) {
 ServerStats Client::stats() {
   const std::string body = wait_ok(send_request(MsgType::Stats, {}));
   WireReader r(body);
-  // No expect_end: stats replies are extensible (fields append at the
-  // end, see ServerStats), so tolerate counters newer than this client.
-  return decode_stats(r);
+  const ServerStats s = decode_stats(r);
+  r.expect_end();
+  return s;
 }
 
 void Client::shutdown_server() {

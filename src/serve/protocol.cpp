@@ -84,12 +84,13 @@ void WireReader::expect_end() const {
 
 std::string encode_frame(MsgType type, bool is_reply, std::uint64_t request_id,
                          std::string_view body) {
-  const std::size_t payload = 1 + 8 + body.size();
+  const std::size_t payload = kFrameHeaderBytes + body.size();
   if (payload > kMaxFrameBytes) throw ProtocolError("frame body too large");
   WireWriter w;
   w.u32(static_cast<std::uint32_t>(payload));
   w.u8(static_cast<std::uint8_t>(type) |
        (is_reply ? kReplyBit : std::uint8_t{0}));
+  w.u8(kProtocolVersion);
   w.u64(request_id);
   w.raw(body);
   return w.take();
@@ -102,7 +103,8 @@ std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
   for (int i = 0; i < 4; ++i)
     len |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[i]))
            << (8 * i);
-  if (len < 1 + 8) throw ProtocolError("frame shorter than its header");
+  if (len < kFrameHeaderBytes)
+    throw ProtocolError("frame shorter than its header");
   if (len > kMaxFrameBytes) throw ProtocolError("frame exceeds 64 MiB cap");
   if (data.size() < 4u + len) return std::nullopt;
   WireReader r(data.substr(4, len));
@@ -114,6 +116,7 @@ std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
       raw_type > static_cast<std::uint8_t>(MsgType::PatternModel))
     throw ProtocolError("unknown message type " + std::to_string(raw_type));
   f.type = static_cast<MsgType>(raw_type);
+  f.version = r.u8();
   f.request_id = r.u64();
   f.body = std::string(r.rest());
   return std::make_pair(std::move(f), 4u + static_cast<std::size_t>(len));
@@ -121,47 +124,27 @@ std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
 
 // --- message bodies --------------------------------------------------------
 
-const char* to_string(QueryMode m) {
-  switch (m) {
-    case QueryMode::Auto: return "auto";
-    case QueryMode::EventDriven: return "event";
-    case QueryMode::Hybrid: return "hybrid";
-  }
-  return "?";
-}
-
-void encode_query(WireWriter& w, const Query& q, bool with_mode,
-                  bool with_sampling) {
+void encode_query(WireWriter& w, const Query& q) {
   w.i32(q.n_procs);
   w.f64(q.mips_ratio);
   w.str(q.params_text);
-  if (with_mode) w.u8(static_cast<std::uint8_t>(q.mode));
-  if (with_sampling) w.f64(q.epoch_tolerance);
+  w.f64(q.epoch_tolerance);
 }
 
-Query decode_query(WireReader& r, bool with_mode, bool with_sampling) {
+Query decode_query(WireReader& r) {
   Query q;
   q.n_procs = r.i32();
   q.mips_ratio = r.f64();
   q.params_text = r.str();
-  if (with_mode) {
-    const std::uint8_t m = r.u8();
-    if (m > static_cast<std::uint8_t>(QueryMode::Hybrid))
-      throw ProtocolError("unknown query mode " + std::to_string(m));
-    q.mode = static_cast<QueryMode>(m);
-  }
-  if (with_sampling) {
-    q.epoch_tolerance = r.f64();
-    // Reject garbage here, where the reply can say which query is bad —
-    // not deep in the simulator.  (NaN fails both comparisons.)
-    if (!(q.epoch_tolerance >= 0.0) || q.epoch_tolerance > 1.0)
-      throw ProtocolError("epoch tolerance must be in [0, 1]");
-  }
+  q.epoch_tolerance = r.f64();
+  // Reject garbage here, where the reply can say which query is bad — not
+  // deep in the simulator.  (NaN fails both comparisons.)
+  if (!(q.epoch_tolerance >= 0.0) || q.epoch_tolerance > 1.0)
+    throw ProtocolError("epoch tolerance must be in [0, 1]");
   return q;
 }
 
-void encode_query_result(WireWriter& w, const QueryResult& res,
-                         bool with_sampling) {
+void encode_query_result(WireWriter& w, const QueryResult& res) {
   w.u8(res.ok ? 1 : 0);
   if (!res.ok) {
     w.str(res.error);
@@ -175,15 +158,13 @@ void encode_query_result(WireWriter& w, const QueryResult& res,
   w.i64(res.compute_ns);
   w.i64(res.comm_wait_ns);
   w.i64(res.barrier_wait_ns);
-  if (with_sampling) {
-    w.i64(res.sampling_epochs);
-    w.i64(res.sampling_classes);
-    w.i64(res.sampling_simulated);
-    w.i64(res.sampling_error_bound_ns);
-  }
+  w.i64(res.sampling_epochs);
+  w.i64(res.sampling_classes);
+  w.i64(res.sampling_simulated);
+  w.i64(res.sampling_error_bound_ns);
 }
 
-QueryResult decode_query_result(WireReader& r, bool with_sampling) {
+QueryResult decode_query_result(WireReader& r) {
   QueryResult res;
   res.ok = r.u8() != 0;
   if (!res.ok) {
@@ -198,12 +179,10 @@ QueryResult decode_query_result(WireReader& r, bool with_sampling) {
   res.compute_ns = r.i64();
   res.comm_wait_ns = r.i64();
   res.barrier_wait_ns = r.i64();
-  if (with_sampling) {
-    res.sampling_epochs = r.i64();
-    res.sampling_classes = r.i64();
-    res.sampling_simulated = r.i64();
-    res.sampling_error_bound_ns = r.i64();
-  }
+  res.sampling_epochs = r.i64();
+  res.sampling_classes = r.i64();
+  res.sampling_simulated = r.i64();
+  res.sampling_error_bound_ns = r.i64();
   return res;
 }
 
@@ -320,10 +299,6 @@ void encode_stats(WireWriter& w, const ServerStats& s) {
   w.f64(s.measure_cpu_s);
   w.f64(s.translate_cpu_s);
   w.f64(s.simulate_cpu_s);
-  // Appended extensions (see ServerStats): order is part of the protocol.
-  w.u64(s.queries_auto);
-  w.u64(s.queries_event);
-  w.u64(s.queries_hybrid);
   w.u64(s.queries_sampled);
   w.u64(s.sampling_epochs_total);
   w.u64(s.sampling_epochs_simulated);
@@ -347,19 +322,9 @@ ServerStats decode_stats(WireReader& r) {
   s.measure_cpu_s = r.f64();
   s.translate_cpu_s = r.f64();
   s.simulate_cpu_s = r.f64();
-  // Trailing fields are optional: a pre-mode server stops here, and the
-  // per-mode counts keep their zero defaults.  Each appended block gates
-  // on its own remaining() check, so every protocol generation decodes.
-  if (r.remaining() >= 3 * 8) {
-    s.queries_auto = r.u64();
-    s.queries_event = r.u64();
-    s.queries_hybrid = r.u64();
-    if (r.remaining() >= 3 * 8) {
-      s.queries_sampled = r.u64();
-      s.sampling_epochs_total = r.u64();
-      s.sampling_epochs_simulated = r.u64();
-    }
-  }
+  s.queries_sampled = r.u64();
+  s.sampling_epochs_total = r.u64();
+  s.sampling_epochs_simulated = r.u64();
   return s;
 }
 

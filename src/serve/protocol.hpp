@@ -6,7 +6,13 @@
 // it.  The protocol is deliberately small and fully little-endian:
 //
 //   Frame   := u32 payload_len | payload          (len caps at 64 MiB)
-//   Payload := u8 type | u64 request_id | body
+//   Payload := u8 type | u8 version | u64 request_id | body
+//
+// The header layout is fixed across protocol versions; only bodies change.
+// `version` is kProtocolVersion, and a request carrying any other version
+// gets an error reply naming the server's version (the connection stays
+// up, as it does for an unknown type byte), so peers never misparse a body
+// written for another version.  Every body has exactly one wire form.
 //
 // Requests carry a client-chosen request_id; the matching reply echoes it
 // with the high bit of the type set (kReplyBit), so clients may PIPELINE —
@@ -47,24 +53,12 @@ constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 /// Replies echo the request type with this bit set.
 constexpr std::uint8_t kReplyBit = 0x80;
 
-/// QUERY_BATCH versioning: set on the query-count u32 when every encoded
-/// query carries a trailing mode byte.  Unambiguous — the server caps
-/// batches at 2^20 queries, so a count with this bit set can only mean a
-/// mode-carrying batch.  Clients that never set a non-default mode keep
-/// emitting the flagless wire form, which old servers parse unchanged.
-constexpr std::uint32_t kBatchHasModes = 1u << 31;
+/// The wire version this build speaks (the header's second byte).  Bump it
+/// whenever any body's encoding changes.
+constexpr std::uint8_t kProtocolVersion = 2;
 
-/// QUERY_BATCH versioning, second flag: set on the query-count u32 when
-/// every encoded query carries a trailing epoch-tolerance f64 (the
-/// representative-epoch sampling knob, core::SimOptions::epoch_tolerance).
-/// Unambiguous for the same reason as kBatchHasModes — the 2^20 query cap
-/// leaves bits 20..31 free.  The server ECHOES this flag on the reply's
-/// result-count u32 and appends per-result sampling stats when set, so
-/// clients decode replies statelessly.  Composes independently with
-/// kBatchHasModes (either, both, or neither may be set).  Old servers
-/// reject a flagged count as oversized with a clear error reply rather
-/// than misparsing the bodies.
-constexpr std::uint32_t kBatchHasSampling = 1u << 30;
+/// type + version + request_id: the smallest legal payload.
+constexpr std::uint32_t kFrameHeaderBytes = 1 + 1 + 8;
 
 enum class MsgType : std::uint8_t {
   LoadTrace = 1,     ///< body: XPTB binary trace bytes -> session
@@ -74,24 +68,9 @@ enum class MsgType : std::uint8_t {
   CloseSession = 5,  ///< body: session
   Shutdown = 6,      ///< body: empty; server drains and exits
   /// body: session + PatternQuery -> composed per-pattern cost model
-  /// (xp::pattern).  Versioning: a NEW verb is the whole gate — servers
-  /// that predate it reject the type byte with an error reply and every
-  /// pre-existing verb's wire form is untouched, so old clients and old
-  /// servers interoperate with pattern-aware peers unchanged.
+  /// (xp::pattern).
   PatternModel = 7,
 };
-
-/// Requested simulation mode for one query (core::SimMode on the wire).
-/// Hybrid and Auto are conservative-exact, so the mode never changes the
-/// numbers in a QueryResult — only how the server computes them.  Auto is
-/// the default so flagless (pre-mode) batches get the fast path for free.
-enum class QueryMode : std::uint8_t {
-  Auto = 0,         ///< server picks (hybrid where sound; the default)
-  EventDriven = 1,  ///< force the full discrete-event replay
-  Hybrid = 2,       ///< force the analytic fast path where sound
-};
-
-const char* to_string(QueryMode m);
 
 /// One what-if query against a session: predict the session's program on
 /// `n_procs` processors of the machine described by `params_text`
@@ -101,13 +80,10 @@ struct Query {
   std::int32_t n_procs = 0;
   double mips_ratio = 0.0;  ///< <= 0: keep the value in params_text
   std::string params_text;
-  /// Only on the wire when the batch count carries kBatchHasModes.
-  QueryMode mode = QueryMode::Auto;
   /// Representative-epoch sampling tolerance (core::SimOptions
-  /// ::epoch_tolerance): 0 = exact dedup only (still bitwise-equal to full
-  /// simulation), > 0 allows clustering near-identical epochs under a
-  /// certified error bound.  Only on the wire when the batch count carries
-  /// kBatchHasSampling; only consulted on the SimMode::Auto path.
+  /// ::epoch_tolerance), in [0, 1]: 0 = exact dedup only (still
+  /// bitwise-equal to full simulation), > 0 allows clustering
+  /// near-identical epochs under a certified error bound.
   double epoch_tolerance = 0.0;
 
   bool operator==(const Query&) const = default;
@@ -127,9 +103,8 @@ struct QueryResult {
   std::int64_t compute_ns = 0;
   std::int64_t comm_wait_ns = 0;
   std::int64_t barrier_wait_ns = 0;
-  // Representative-epoch sampling attribution (core::SamplingStats).  On
-  // the wire only when the reply count echoes kBatchHasSampling; zero when
-  // the query's simulation did not take the sampled path.
+  // Representative-epoch sampling attribution (core::SamplingStats); zero
+  // when the query's simulation did not take the sampled path.
   std::int64_t sampling_epochs = 0;      ///< epochs in the replayed trace
   std::int64_t sampling_classes = 0;     ///< distinct epoch classes
   std::int64_t sampling_simulated = 0;   ///< exemplar epochs actually walked
@@ -183,13 +158,8 @@ struct PatternModelResult {
 
 /// The `stats` verb's answer: service counters plus the translate-cache
 /// totals (summed over all per-source caches) and per-stage CPU-seconds in
-/// the spirit of core::SweepStages.
-///
-/// Extensibility rule: new fields append at the END of the encoding and
-/// decoders stop at the bytes they have (decode_stats zero-fills absent
-/// trailing fields), so stats replies stay parseable across versions in
-/// both directions.  The per-mode query counts below were the first such
-/// extension.
+/// the spirit of core::SweepStages.  Adding a field changes the encoding,
+/// so it bumps kProtocolVersion.
 struct ServerStats {
   std::uint64_t connections_total = 0;
   std::uint64_t connections_open = 0;
@@ -207,13 +177,8 @@ struct ServerStats {
   double measure_cpu_s = 0;
   double translate_cpu_s = 0;
   double simulate_cpu_s = 0;
-  // Queries by requested mode (appended extension; old replies decode to 0).
-  std::uint64_t queries_auto = 0;
-  std::uint64_t queries_event = 0;
-  std::uint64_t queries_hybrid = 0;
-  // Representative-epoch sampling counters (second appended extension):
-  // how many served queries took the sampled path and how much epoch
-  // replay it saved daemon-wide.  Old replies decode to 0.
+  // Representative-epoch sampling: how many served queries took the
+  // sampled path and how much epoch replay it saved daemon-wide.
   std::uint64_t queries_sampled = 0;          ///< queries on the sampled path
   std::uint64_t sampling_epochs_total = 0;    ///< epochs covered by those
   std::uint64_t sampling_epochs_simulated = 0;  ///< exemplar walks performed
@@ -276,11 +241,13 @@ class WireReader {
 struct Frame {
   MsgType type{};
   bool is_reply = false;
+  std::uint8_t version = kProtocolVersion;  ///< as received; not checked here
   std::uint64_t request_id = 0;
   std::string body;
 };
 
-/// Serialize a full frame (length prefix + type + id + body).
+/// Serialize a full frame (length prefix + type + kProtocolVersion + id +
+/// body).
 std::string encode_frame(MsgType type, bool is_reply, std::uint64_t request_id,
                          std::string_view body);
 
@@ -293,22 +260,12 @@ std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
 
 // --- message bodies --------------------------------------------------------
 
-/// `with_mode` selects the kBatchHasModes wire form (a trailing mode
-/// byte); without it the mode is neither written nor read and defaults to
-/// QueryMode::Auto on decode.  `with_sampling` likewise selects the
-/// kBatchHasSampling form (a trailing epoch-tolerance f64 after the mode
-/// byte, when both are present); the two flags compose independently.
-void encode_query(WireWriter& w, const Query& q, bool with_mode = false,
-                  bool with_sampling = false);
-Query decode_query(WireReader& r, bool with_mode = false,
-                   bool with_sampling = false);
+/// decode_query rejects an epoch tolerance outside [0, 1] (or NaN).
+void encode_query(WireWriter& w, const Query& q);
+Query decode_query(WireReader& r);
 
-/// `with_sampling` mirrors the kBatchHasSampling reply form: ok results
-/// gain four trailing sampling-attribution i64s.  Error results are
-/// unchanged in either form.
-void encode_query_result(WireWriter& w, const QueryResult& res,
-                         bool with_sampling = false);
-QueryResult decode_query_result(WireReader& r, bool with_sampling = false);
+void encode_query_result(WireWriter& w, const QueryResult& res);
+QueryResult decode_query_result(WireReader& r);
 
 void encode_stats(WireWriter& w, const ServerStats& s);
 ServerStats decode_stats(WireReader& r);

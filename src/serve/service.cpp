@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
-#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -127,9 +126,6 @@ void Service::close_session(std::uint64_t id) {
 
 QueryResult Service::run_query_on(Source& src, const Query& q) {
   QueryResult res;
-  queries_by_mode_[static_cast<std::size_t>(q.mode) %
-                   std::size(queries_by_mode_)]
-      .fetch_add(1);
   try {
     XP_REQUIRE(q.n_procs >= 1, "query needs n_procs >= 1");
     model::SimParams params = q.params_text.empty()
@@ -177,29 +173,14 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
       translate_cpu_s_.fetch_add((prepared_cpu - cpu0) - measure_cpu);
     }
 
-    // Hybrid and Auto are conservative-exact (tests hold every mode
-    // bitwise-equal), so honoring the wire mode never changes a reply —
-    // and QueryResult carries no engine-event count, so defaulting to
-    // Auto is invisible to byte-comparing clients.  The served result
-    // never returns the extrapolated trace, so skip emitting it; that
-    // also unlocks the simulator's pre-summed segment shortcut.
+    // The served result never returns the extrapolated trace, so skip
+    // emitting it; that also unlocks the simulator's pre-summed segment
+    // shortcut and epoch sampling.  The sampling knob rides along
+    // verbatim: 0 still means exact epoch dedup.  (The wire decoder has
+    // already range-checked it to [0, 1].)
     core::SimOptions sopts;
     sopts.emit_trace = false;
-    // The sampling knob rides along verbatim; it only matters on the Auto
-    // path, where 0 still means exact epoch dedup.  (The wire decoder has
-    // already range-checked it to [0, 1].)
     sopts.epoch_tolerance = q.epoch_tolerance;
-    switch (q.mode) {
-      case QueryMode::EventDriven:
-        sopts.mode = core::SimMode::EventDriven;
-        break;
-      case QueryMode::Hybrid:
-        sopts.mode = core::SimMode::Hybrid;
-        break;
-      case QueryMode::Auto:
-        sopts.mode = core::SimMode::Auto;
-        break;
-    }
     const core::Prediction pred = core::predict(*prepared, params, sopts);
     simulate_cpu_s_.fetch_add(thread_cpu_seconds() - prepared_cpu);
 
@@ -300,9 +281,7 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
       // Unlike plain queries this verb NEEDS the extrapolated trace: the
       // composed model is extracted from its re-timestamped pattern
       // delimiters.
-      core::SimOptions sopts;
-      sopts.mode = core::SimMode::Auto;
-      const core::Prediction pred = core::predict(*prepared, params, sopts);
+      const core::Prediction pred = core::predict(*prepared, params);
       simulate_cpu_s_.fetch_add(thread_cpu_seconds() - prepared_cpu);
 
       e.procs.push_back(n);
@@ -441,22 +420,14 @@ void Service::dispatch_pattern(Frame frame, Completion done) {
 void Service::dispatch_batch(Frame frame, Completion done) {
   WireReader r(frame.body);
   const std::uint64_t session = r.u64();
-  const std::uint32_t raw_count = r.u32();
-  // kBatchHasModes flags the versioned wire form (per-query mode byte);
-  // kBatchHasSampling adds a per-query epoch-tolerance f64 and asks for
-  // sampling attribution on the reply.  Flagless batches decode exactly
-  // as before, with every mode Auto and tolerance 0.
-  const bool has_modes = (raw_count & kBatchHasModes) != 0;
-  const bool has_sampling = (raw_count & kBatchHasSampling) != 0;
-  const std::uint32_t count =
-      raw_count & ~(kBatchHasModes | kBatchHasSampling);
+  const std::uint32_t count = r.u32();
   if (count > kMaxBatchQueries)
     throw ProtocolError("batch of " + std::to_string(count) +
                         " queries exceeds the per-request cap");
   std::vector<Query> queries;
   queries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i)
-    queries.push_back(decode_query(r, has_modes, has_sampling));
+    queries.push_back(decode_query(r));
   r.expect_end();
 
   const auto src = session_source(session);
@@ -472,7 +443,6 @@ void Service::dispatch_batch(Frame frame, Completion done) {
     std::atomic<std::size_t> remaining;
     Completion done;
     std::uint64_t request_id;
-    bool has_sampling = false;
   };
   auto st = std::make_shared<BatchState>();
   st->src = src;
@@ -481,14 +451,10 @@ void Service::dispatch_batch(Frame frame, Completion done) {
   st->remaining.store(count);
   st->done = std::move(done);
   st->request_id = frame.request_id;
-  st->has_sampling = has_sampling;
 
-  // The reply ECHOES the sampling flag on its result count, so the client
-  // decodes the extended results statelessly.
-  const std::uint32_t reply_flags = has_sampling ? kBatchHasSampling : 0u;
   if (count == 0) {
     WireWriter w;
-    w.u32(reply_flags);
+    w.u32(0);
     st->done(encode_frame(MsgType::QueryBatch, true, st->request_id,
                           ok_reply_body(w.data())));
     return;
@@ -505,10 +471,9 @@ void Service::dispatch_batch(Frame frame, Completion done) {
       queue_depth_.fetch_sub(1);
       if (st->remaining.fetch_sub(1) == 1) {
         WireWriter w;
-        w.u32(static_cast<std::uint32_t>(st->results.size()) |
-              (st->has_sampling ? kBatchHasSampling : 0u));
+        w.u32(static_cast<std::uint32_t>(st->results.size()));
         for (const QueryResult& res : st->results)
-          encode_query_result(w, res, st->has_sampling);
+          encode_query_result(w, res);
         st->done(encode_frame(MsgType::QueryBatch, true, st->request_id,
                               ok_reply_body(w.data())));
       }
@@ -523,12 +488,17 @@ void Service::handle_async(std::string payload, Completion done) {
   try {
     WireReader r(payload);
     const std::uint8_t t = r.u8();
+    const std::uint8_t version = r.u8();
     if (t & kReplyBit) throw ProtocolError("request has the reply bit set");
     if (t < static_cast<std::uint8_t>(MsgType::LoadTrace) ||
         t > static_cast<std::uint8_t>(MsgType::PatternModel))
       throw ProtocolError("unknown message type " + std::to_string(t));
     type = static_cast<MsgType>(t);
     request_id = r.u64();
+    if (version != kProtocolVersion)
+      throw ProtocolError("protocol version " + std::to_string(version) +
+                          " is not supported; this server speaks version " +
+                          std::to_string(kProtocolVersion));
     Frame frame;
     frame.type = type;
     frame.request_id = request_id;
@@ -599,12 +569,6 @@ ServerStats Service::stats() const {
   s.measure_cpu_s = measure_cpu_s_.load();
   s.translate_cpu_s = translate_cpu_s_.load();
   s.simulate_cpu_s = simulate_cpu_s_.load();
-  s.queries_auto =
-      queries_by_mode_[static_cast<std::size_t>(QueryMode::Auto)].load();
-  s.queries_event =
-      queries_by_mode_[static_cast<std::size_t>(QueryMode::EventDriven)].load();
-  s.queries_hybrid =
-      queries_by_mode_[static_cast<std::size_t>(QueryMode::Hybrid)].load();
   s.queries_sampled = queries_sampled_.load();
   s.sampling_epochs_total = sampling_epochs_total_.load();
   s.sampling_epochs_simulated = sampling_epochs_simulated_.load();

@@ -1,14 +1,14 @@
-// Differential suite for the hybrid analytic/discrete-event fast path
-// (core/simulator.hpp, SimMode::Hybrid / Auto).
+// Differential suite for the engine-free analytic path
+// (core/simulator.hpp, SimMode::Auto).
 //
-// The hybrid classifier is conservative: a barrier-delimited segment is
-// collapsed into its closed form only when that form is provably exact, and
-// everything else demotes to the event engine.  The contract under test is
-// therefore not "close" but *bitwise identical* — makespan, every per-thread
-// stat, message/byte counts, and the multiset of extrapolated events must
-// match EventDriven on every input: the golden trace, all seven suite codes
-// at n in {4, 8, 16}, and randomized contention configurations (where Auto
-// demotes contended owners, the divergence bound is exactly zero).
+// Auto is conservative: a run skips the event engine only when every
+// barrier-delimited segment has a provably exact closed form, and anything
+// else replays through the engine.  The contract under test is therefore
+// not "close" but *bitwise identical* — makespan, every per-thread stat,
+// message/byte counts, and the multiset of extrapolated events must match
+// the EventDriven oracle on every input: the golden trace, all seven suite
+// codes at n in {4, 8, 16}, and randomized contention configurations
+// (where Auto falls back to events, the divergence bound is exactly zero).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,8 +44,8 @@ model::SimParams single_cluster(model::SimParams p) {
   return p;
 }
 
-/// The analytic-barrier presets (by_msgs=false), where the hybrid path can
-/// engage; the message-barrier presets demote wholesale.
+/// The analytic-barrier presets (by_msgs=false), where the engine-free path
+/// can engage; the message-barrier presets always replay events.
 std::vector<std::pair<std::string, model::SimParams>> analytic_presets() {
   return {{"ideal", model::ideal_preset()},
           {"shared", model::shared_memory_preset()},
@@ -77,15 +77,15 @@ std::vector<Event> canonical_events(const Trace& t) {
   return ev;
 }
 
-void expect_bitwise_equal(const SimResult& ev, const SimResult& hy,
+void expect_bitwise_equal(const SimResult& ev, const SimResult& au,
                           const std::string& what) {
   SCOPED_TRACE(what);
-  EXPECT_EQ(ev.makespan.count_ns(), hy.makespan.count_ns());
-  ASSERT_EQ(ev.threads.size(), hy.threads.size());
+  EXPECT_EQ(ev.makespan.count_ns(), au.makespan.count_ns());
+  ASSERT_EQ(ev.threads.size(), au.threads.size());
   for (std::size_t t = 0; t < ev.threads.size(); ++t) {
     SCOPED_TRACE("thread " + std::to_string(t));
     const auto& a = ev.threads[t];
-    const auto& b = hy.threads[t];
+    const auto& b = au.threads[t];
     EXPECT_EQ(a.compute.count_ns(), b.compute.count_ns());
     EXPECT_EQ(a.comm_wait.count_ns(), b.comm_wait.count_ns());
     EXPECT_EQ(a.barrier_wait.count_ns(), b.barrier_wait.count_ns());
@@ -99,11 +99,11 @@ void expect_bitwise_equal(const SimResult& ev, const SimResult& hy,
     EXPECT_EQ(a.interrupts_taken, b.interrupts_taken);
     EXPECT_EQ(a.polls, b.polls);
   }
-  EXPECT_EQ(ev.messages, hy.messages);
-  EXPECT_EQ(ev.bytes, hy.bytes);
-  EXPECT_EQ(ev.avg_inflight, hy.avg_inflight);
+  EXPECT_EQ(ev.messages, au.messages);
+  EXPECT_EQ(ev.bytes, au.bytes);
+  EXPECT_EQ(ev.avg_inflight, au.avg_inflight);
   EXPECT_EQ(canonical_events(ev.extrapolated),
-            canonical_events(hy.extrapolated));
+            canonical_events(au.extrapolated));
 }
 
 Trace load_golden() {
@@ -125,8 +125,8 @@ const Trace& measured(const std::string& bench, int n) {
 
 }  // namespace
 
-// Structural invariants of the compile-time segment table the classifier
-// builds on.
+// Structural invariants of the compile-time segment table the analytic
+// path builds on.
 TEST(HybridSim, SegmentTableInvariants) {
   const auto translated = core::translate(load_golden());
   const CompiledTrace ct = CompiledTrace::compile(translated);
@@ -157,43 +157,41 @@ TEST(HybridSim, SegmentTableInvariants) {
   }
 }
 
-// The acceptance bar: Hybrid == EventDriven bitwise on the golden trace
-// under every preset, analytic and message-barrier alike.
+// The acceptance bar: Auto == EventDriven bitwise on the golden trace under
+// every preset, analytic and message-barrier alike.
 TEST(HybridSim, GoldenTraceBitwiseAllPresets) {
   const auto translated = core::translate(load_golden());
   const CompiledTrace ct = CompiledTrace::compile(translated);
   auto presets = analytic_presets();
   for (auto& [name, p] : message_presets()) presets.emplace_back(name, p);
   for (const auto& [name, params] : presets) {
-    const SimResult ev = core::simulate_compiled(ct, params);
-    const SimResult hy =
-        core::simulate_compiled(ct, params, {SimMode::Hybrid});
+    const SimResult ev =
+        core::simulate_compiled(ct, params, {SimMode::EventDriven});
     const SimResult au = core::simulate_compiled(ct, params, {SimMode::Auto});
-    expect_bitwise_equal(ev, hy, "golden/" + name + "/hybrid");
     expect_bitwise_equal(ev, au, "golden/" + name + "/auto");
     EXPECT_EQ(ev.hybrid.segments_collapsed, 0);  // oracle never collapses
   }
 }
 
 // Single-cluster analytic presets must actually engage the fast path on the
-// golden trace — a hybrid mode that silently demotes everything would pass
-// the differential tests while delivering no speedup.
+// golden trace — an Auto that silently falls back to events would pass the
+// differential tests while delivering no speedup.
 TEST(HybridSim, GoldenTraceCollapsesUnderSingleCluster) {
   const auto translated = core::translate(load_golden());
   const CompiledTrace ct = CompiledTrace::compile(translated);
-  const SimResult hy = core::simulate_compiled(
-      ct, single_cluster(model::shared_memory_preset()), {SimMode::Hybrid});
-  EXPECT_EQ(hy.hybrid.path, HybridStats::Path::PureAnalytic);
-  EXPECT_GT(hy.hybrid.segments_collapsed, 0);
-  EXPECT_EQ(hy.hybrid.segments_demoted, 0);
-  EXPECT_GT(hy.hybrid.ops_collapsed, 0);
-  EXPECT_EQ(hy.engine_events, 0u);
-  EXPECT_EQ(hy.messages, 0);
+  const SimResult au = core::simulate_compiled(
+      ct, single_cluster(model::shared_memory_preset()), {SimMode::Auto});
+  EXPECT_EQ(au.hybrid.path, HybridStats::Path::PureAnalytic);
+  EXPECT_GT(au.hybrid.segments_collapsed, 0);
+  EXPECT_EQ(au.hybrid.segments_demoted, 0);
+  EXPECT_GT(au.hybrid.ops_collapsed, 0);
+  EXPECT_EQ(au.engine_events, 0u);
+  EXPECT_EQ(au.messages, 0);
 }
 
-// All seven suite codes at n in {4, 8, 16}: Hybrid and Auto bitwise-match
-// the event-driven oracle under analytic presets (where segments collapse)
-// and message presets (where the run demotes wholesale).
+// All seven suite codes at n in {4, 8, 16}: Auto bitwise-matches the
+// event-driven oracle under analytic presets (where segments collapse) and
+// message presets (where the run replays events).
 TEST(HybridSim, SuiteCodesBitwise) {
   std::int64_t collapsed_total = 0;
   for (const std::string& bench : suite::benchmark_names()) {
@@ -206,29 +204,31 @@ TEST(HybridSim, SuiteCodesBitwise) {
           {"distributed", model::distributed_preset()},
       };
       for (const auto& [pname, p] : params) {
-        const SimResult ev = core::simulate_compiled(ct, p);
-        const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
+        const SimResult ev =
+            core::simulate_compiled(ct, p, {SimMode::EventDriven});
+        const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
         expect_bitwise_equal(
-            ev, hy, bench + "/n=" + std::to_string(n) + "/" + pname);
-        collapsed_total += hy.hybrid.segments_collapsed;
+            ev, au, bench + "/n=" + std::to_string(n) + "/" + pname);
+        collapsed_total += au.hybrid.segments_collapsed;
       }
     }
   }
   EXPECT_GT(collapsed_total, 0);
 }
 
-// Mixed path: contended owners (cross-cluster control/ghost traffic) demote
-// their epochs while the rest still collapse — and the mix stays bitwise.
-TEST(HybridSim, MixedPathContentionDemotesAndMatches) {
+// Cross-cluster control/ghost traffic sends the whole run to the event
+// engine — and the fallback stays bitwise.
+TEST(HybridSim, CrossClusterTrafficFallsBackToEvents) {
   for (const std::string& bench : {std::string("grid"), std::string("sparse")}) {
     const auto translated = core::translate(measured(bench, 8));
     const CompiledTrace ct = CompiledTrace::compile(translated);
     model::SimParams p = model::shared_memory_preset();
     p.cluster.procs_per_cluster = 2;  // 4 clusters of 2 at n=8
-    const SimResult ev = core::simulate_compiled(ct, p);
-    const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
-    expect_bitwise_equal(ev, hy, bench + "/2per-cluster");
-    EXPECT_GT(hy.hybrid.segments_demoted, 0) << bench;
+    const SimResult ev = core::simulate_compiled(ct, p, {SimMode::EventDriven});
+    const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
+    expect_bitwise_equal(ev, au, bench + "/2per-cluster");
+    EXPECT_EQ(au.hybrid.path, HybridStats::Path::Event) << bench;
+    EXPECT_EQ(au.hybrid.segments_demoted, au.hybrid.segments_total) << bench;
   }
 }
 
@@ -240,19 +240,19 @@ TEST(HybridSim, PollPolicyClosedFormMatches) {
   const CompiledTrace ct = CompiledTrace::compile(translated);
   model::SimParams p = single_cluster(model::sp1_preset());
   p.barrier.by_msgs = false;  // sp1 is a message-barrier preset by default
-  const SimResult ev = core::simulate_compiled(ct, p);
-  const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
-  expect_bitwise_equal(ev, hy, "grid/sp1-analytic-barrier");
-  EXPECT_GT(hy.hybrid.segments_collapsed, 0);
+  const SimResult ev = core::simulate_compiled(ct, p, {SimMode::EventDriven});
+  const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
+  expect_bitwise_equal(ev, au, "grid/sp1-analytic-barrier");
+  EXPECT_GT(au.hybrid.segments_collapsed, 0);
   std::int64_t polls = 0;
-  for (const auto& t : hy.threads) polls += t.polls;
+  for (const auto& t : au.threads) polls += t.polls;
   EXPECT_GT(polls, 0);  // the formula actually ran
 }
 
 // Randomized-contention property test: random cluster shapes, MIPS ratios,
-// and presets over random suite codes.  Wherever Auto demotes segments the
-// divergence bound is exactly zero — Auto is conservative-exact, never
-// approximate — and across the sample both demotion and collapse must fire.
+// and presets over random suite codes.  Wherever Auto falls back to events
+// the divergence bound is exactly zero — Auto is conservative-exact, never
+// approximate — and across the sample both fallback and collapse must fire.
 TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
   std::mt19937 rng(0x5eed);
   const std::vector<std::string> benches = {"grid", "cyclic", "sparse",
@@ -269,7 +269,7 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
     p.proc.mips_ratio = mips[rng() % mips.size()];
     const auto translated = core::translate(measured(bench, n));
     const CompiledTrace ct = CompiledTrace::compile(translated);
-    const SimResult ev = core::simulate_compiled(ct, p);
+    const SimResult ev = core::simulate_compiled(ct, p, {SimMode::EventDriven});
     const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
     expect_bitwise_equal(ev, au,
                          "iter" + std::to_string(iter) + "/" + bench + "/n=" +
@@ -278,7 +278,7 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
     demoted_total += au.hybrid.segments_demoted;
     collapsed_total += au.hybrid.segments_collapsed;
   }
-  EXPECT_GT(demoted_total, 0);    // contention demotion fired somewhere
+  EXPECT_GT(demoted_total, 0);    // event fallback fired somewhere
   EXPECT_GT(collapsed_total, 0);  // and the fast path engaged somewhere
 }
 
@@ -288,7 +288,7 @@ TEST(HybridSim, RandomizedContentionPropertyAutoIsExact) {
 TEST(HybridSim, EmitTraceOffKeepsNumerics) {
   const auto translated = core::translate(measured("cyclic", 8));
   const CompiledTrace ct = CompiledTrace::compile(translated);
-  for (const SimMode mode : {SimMode::EventDriven, SimMode::Hybrid}) {
+  for (const SimMode mode : {SimMode::EventDriven, SimMode::Auto}) {
     SimOptions with{mode, true};
     SimOptions without{mode, false};
     const SimResult a = core::simulate_compiled(ct, single_cluster(
@@ -310,17 +310,17 @@ TEST(HybridSim, EmitTraceOffKeepsNumerics) {
 }
 
 // Multithreading extension (n_procs < n_threads) shares CPUs between
-// threads, which the classifier must refuse: everything demotes, results
+// threads, which the analytic path must refuse: everything demotes, results
 // still match the oracle.
 TEST(HybridSim, SharedProcessorsDemoteWholesale) {
   const auto translated = core::translate(measured("grid", 8));
   const CompiledTrace ct = CompiledTrace::compile(translated);
   model::SimParams p = single_cluster(model::shared_memory_preset());
   p.proc.n_procs = 4;  // 2 threads per processor
-  const SimResult ev = core::simulate_compiled(ct, p);
-  const SimResult hy = core::simulate_compiled(ct, p, {SimMode::Hybrid});
-  expect_bitwise_equal(ev, hy, "grid/n_procs=4");
-  EXPECT_EQ(hy.hybrid.path, HybridStats::Path::Event);
-  EXPECT_EQ(hy.hybrid.segments_collapsed, 0);
-  EXPECT_EQ(hy.hybrid.segments_demoted, hy.hybrid.segments_total);
+  const SimResult ev = core::simulate_compiled(ct, p, {SimMode::EventDriven});
+  const SimResult au = core::simulate_compiled(ct, p, {SimMode::Auto});
+  expect_bitwise_equal(ev, au, "grid/n_procs=4");
+  EXPECT_EQ(au.hybrid.path, HybridStats::Path::Event);
+  EXPECT_EQ(au.hybrid.segments_collapsed, 0);
+  EXPECT_EQ(au.hybrid.segments_demoted, au.hybrid.segments_total);
 }

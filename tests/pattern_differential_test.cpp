@@ -8,8 +8,9 @@
 //     trace — numeric fields AND the serialized extrapolated event
 //     stream (which carries the re-timestamped pattern delimiters the
 //     composed model is extracted from);
-//   * across pool sizes {1, 2, 8} and across SimMode::EventDriven vs
-//     SimMode::Hybrid (conservative-exact, so mode may not change bits);
+//   * across pool sizes {1, 2, 8}, against an explicit
+//     SimMode::EventDriven oracle (Auto is conservative-exact, so the
+//     sweep's path choice may not change bits);
 //   * therefore the composed ComposedModel — regions, fitted curves,
 //     bands — is bitwise identical however the sweep that fed it ran.
 #include <gtest/gtest.h>
@@ -57,13 +58,12 @@ std::vector<trace::Trace> measured_traces(const std::string& name) {
 }
 
 core::SweepResult run_sweep(const std::vector<trace::Trace>& traces,
-                            int n_workers, core::SimMode mode) {
+                            int n_workers) {
   core::SweepOptions opt;
   opt.n_workers = n_workers;
   core::SweepRunner runner(opt);
   for (const trace::Trace& t : traces) runner.seed_trace(t);
-  return runner.run_grid(kProcs, {model::distributed_preset()}, {"dist"},
-                         mode);
+  return runner.run_grid(kProcs, {model::distributed_preset()}, {"dist"});
 }
 
 void expect_bitwise_equal(const core::Prediction& a,
@@ -83,36 +83,35 @@ TEST_P(PatternDifferential, SweepBitwiseEqualsMonolithicSimulation) {
   const auto traces = measured_traces(name);
 
   // Monolithic baseline: sequential event-driven simulation per count.
-  const core::Extrapolator ex(model::distributed_preset());
+  core::SimOptions oracle;
+  oracle.mode = core::SimMode::EventDriven;
   std::vector<core::Prediction> base;
   for (const trace::Trace& t : traces)
-    base.push_back(ex.extrapolate_trace(t));
+    base.push_back(core::predict(core::prepare_trace(t),
+                                 model::distributed_preset(), oracle));
 
   std::string composed_ref;
-  for (int workers : {1, 2, 8})
-    for (core::SimMode mode :
-         {core::SimMode::EventDriven, core::SimMode::Hybrid}) {
-      SCOPED_TRACE(name + " workers=" + std::to_string(workers) +
-                   " mode=" + std::to_string(static_cast<int>(mode)));
-      const auto sweep = run_sweep(traces, workers, mode);
-      ASSERT_EQ(sweep.predictions.size(), kProcs.size());
-      for (std::size_t i = 0; i < kProcs.size(); ++i)
-        expect_bitwise_equal(sweep.predictions[i], base[i]);
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE(name + " workers=" + std::to_string(workers));
+    const auto sweep = run_sweep(traces, workers);
+    ASSERT_EQ(sweep.predictions.size(), kProcs.size());
+    for (std::size_t i = 0; i < kProcs.size(); ++i)
+      expect_bitwise_equal(sweep.predictions[i], base[i]);
 
-      // Identical inputs must compose to the identical model, down to the
-      // band bits.
-      const ComposedModel cm = compose(collect(sweep, name));
-      std::ostringstream sig;
-      sig << cm.str();
-      sig.precision(17);
-      for (double n : {2.0, 8.0, 32.0, 128.0})
-        sig << cm.eval(n) << '/' << cm.band(n).lo << '/' << cm.band(n).hi
-            << '\n';
-      if (composed_ref.empty())
-        composed_ref = sig.str();
-      else
-        EXPECT_EQ(sig.str(), composed_ref);
-    }
+    // Identical inputs must compose to the identical model, down to the
+    // band bits.
+    const ComposedModel cm = compose(collect(sweep, name));
+    std::ostringstream sig;
+    sig << cm.str();
+    sig.precision(17);
+    for (double n : {2.0, 8.0, 32.0, 128.0})
+      sig << cm.eval(n) << '/' << cm.band(n).lo << '/' << cm.band(n).hi
+          << '\n';
+    if (composed_ref.empty())
+      composed_ref = sig.str();
+    else
+      EXPECT_EQ(sig.str(), composed_ref);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPatternBenches, PatternDifferential,

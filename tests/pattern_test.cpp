@@ -230,11 +230,13 @@ TEST(PatternCompose, HeldOutPredictionMatchesDirectSimulation) {
       const double composed = cm.eval(n);
       // Held-out accuracy: inside the composed confidence band widened by
       // a modest model-error allowance (deterministic simulated curves
-      // leave the residual bootstrap almost no spread).
+      // leave the residual bootstrap almost no spread), and the point
+      // prediction within the bound the fitted-n check uses.
       const auto band = cm.band(n);
       const double slack = 0.25 * direct;
       EXPECT_GE(direct, band.lo - slack) << "n=" << n;
       EXPECT_LE(direct, band.hi + slack) << "n=" << n;
+      EXPECT_LE(std::abs(composed - direct), 0.25 * direct) << "n=" << n;
     }
   }
 }

@@ -235,7 +235,7 @@ TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
   EXPECT_EQ(tab.n_classes(), 4);
 
   const model::SimParams params = single_cluster(model::shared_memory_preset());
-  const SimResult exact = run(ct, params, SimMode::Hybrid);
+  const SimResult exact = run(ct, params, SimMode::EventDriven);
 
   // Below the boundary: 0.004 * 1005 = 4.02 < 5, no clustering.
   const SimResult below = run(ct, params, SimMode::Auto, 0.004);
@@ -258,8 +258,8 @@ TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
 }
 
 // Tier-1 acceptance bar: on every suite workload the Auto sampled path is
-// bitwise-equal to both Hybrid and EventDriven under the analytic presets
-// where it can engage.
+// bitwise-equal to EventDriven under the analytic presets where it can
+// engage.
 TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
   const std::vector<std::pair<std::string, model::SimParams>> presets = {
       {"ideal/1cluster", single_cluster(model::ideal_preset())},
@@ -270,9 +270,7 @@ TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
         CompiledTrace::compile(core::translate(measured(bench, 4)));
     for (const auto& [name, params] : presets) {
       const SimResult ev = run(ct, params, SimMode::EventDriven);
-      const SimResult hy = run(ct, params, SimMode::Hybrid);
       const SimResult au = run(ct, params, SimMode::Auto);
-      expect_bitwise_equal(au, hy, bench + "/" + name + " auto vs hybrid");
       expect_bitwise_equal(au, ev, bench + "/" + name + " auto vs event");
       if (au.sampling.active) {
         // Iterative codes dedup; codes with all-distinct epochs (embar,
@@ -308,18 +306,18 @@ TEST(EpochClasses, PollPolicyIgnoresTolerance) {
       CompiledTrace::compile(core::translate(load_golden(kGridGoldenPath)));
   model::SimParams params = single_cluster(model::shared_memory_preset());
   params.proc.policy = model::ServicePolicy::Poll;
-  const SimResult hy = run(ct, params, SimMode::Hybrid);
+  const SimResult ev = run(ct, params, SimMode::EventDriven);
   const SimResult au = run(ct, params, SimMode::Auto, 0.5);
   if (au.sampling.active) {
     EXPECT_EQ(au.sampling.epochs_approximated, 0);
     EXPECT_EQ(au.sampling.error_bound.count_ns(), 0);
   }
-  expect_bitwise_equal(au, hy, "poll policy, tolerance 0.5");
+  expect_bitwise_equal(au, ev, "poll policy, tolerance 0.5");
 }
 
 // Sweeps must stay deterministic and bitwise-identical across worker
-// counts with sampling in play, and the runner must attribute the sampled
-// cells in SweepStages.
+// counts with sampling in play, agree with the event-driven oracle, and
+// the runner must attribute the sampled cells in SweepStages.
 TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
   std::vector<core::SweepPoint> grid;
   for (int n : {2, 4, 8}) {
@@ -327,14 +325,11 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
     p.n_threads = n;
     p.params = single_cluster(model::shared_memory_preset());
     p.label = "sampled";
-    p.mode = SimMode::Auto;
-    grid.push_back(p);
-    p.label = "event";
-    p.mode = SimMode::EventDriven;
     grid.push_back(p);
   }
 
   std::vector<core::SweepResult> results;
+  std::vector<SimResult> oracle;  // EventDriven over the first runner's cache
   for (int workers : {1, 2, 8}) {
     core::SweepOptions opt;
     opt.n_workers = workers;
@@ -343,6 +338,14 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
         [] { return suite::make_by_name("grid", suite::SuiteConfig{}); },
         opt);
     results.push_back(runner.run(grid));
+    if (!oracle.empty()) continue;
+    for (const core::SweepPoint& p : grid) {
+      core::TranslateKey key;
+      key.n_threads = p.n_threads;
+      oracle.push_back(
+          run(*runner.cache().get(key)->compiled, p.params,
+              SimMode::EventDriven));
+    }
   }
 
   for (std::size_t w = 1; w < results.size(); ++w) {
@@ -355,15 +358,13 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
     }
   }
   for (const core::SweepResult& r : results) {
-    // Auto cells took the sampled path; Event cells did not.
+    // Every cell took the sampled path.
     EXPECT_EQ(r.stages.cells_sampled, 3);
     EXPECT_GT(r.stages.sim_epochs_total, 0);
     EXPECT_GT(r.stages.sim_epoch_classes, 0);
     EXPECT_LT(r.stages.sim_epochs_simulated, r.stages.sim_epochs_total);
   }
-  // Event and Auto cells of one sweep agree pairwise (grid interleaves
-  // sampled/event per thread count).
-  for (std::size_t i = 0; i + 1 < grid.size(); i += 2)
-    EXPECT_EQ(results[0].predictions[i].predicted_time.count_ns(),
-              results[0].predictions[i + 1].predicted_time.count_ns());
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    expect_bitwise_equal(results[0].predictions[i].sim, oracle[i],
+                         "cell " + std::to_string(i) + " vs event oracle");
 }

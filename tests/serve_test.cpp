@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -88,7 +89,7 @@ TEST(ServeProtocol, PartialFrameIsIncomplete) {
 }
 
 TEST(ServeProtocol, MalformedFramesThrow) {
-  // Forged length below the type+id header.
+  // Forged length below the type+version+id header.
   EXPECT_THROW(try_parse_frame(std::string("\x01\x00\x00\x00zzzzzzzzzzzz", 16)),
                ProtocolError);
   // Forged length above the 64 MiB cap.
@@ -102,12 +103,23 @@ TEST(ServeProtocol, MalformedFramesThrow) {
 
 TEST(ServeProtocol, QueryAndResultRoundTrip) {
   Query q = distributed_query(8, 2.5);
+  q.epoch_tolerance = 0.125;
   WireWriter w;
   encode_query(w, q);
   {
     WireReader r(w.data());
     EXPECT_EQ(decode_query(r), q);
     EXPECT_NO_THROW(r.expect_end());
+  }
+
+  // Tolerances outside [0, 1] (and NaN) are rejected at decode.
+  for (const double bad : {-0.5, 1.5, std::nan("")}) {
+    Query out_of_range = q;
+    out_of_range.epoch_tolerance = bad;
+    WireWriter wb;
+    encode_query(wb, out_of_range);
+    WireReader r(wb.data());
+    EXPECT_THROW(decode_query(r), ProtocolError) << bad;
   }
 
   QueryResult res;
@@ -120,6 +132,10 @@ TEST(ServeProtocol, QueryAndResultRoundTrip) {
   res.compute_ns = 99;
   res.comm_wait_ns = 3;
   res.barrier_wait_ns = 2;
+  res.sampling_epochs = 1002;
+  res.sampling_classes = 4;
+  res.sampling_simulated = 4;
+  res.sampling_error_bound_ns = 17;
   WireWriter w2;
   encode_query_result(w2, res);
   {
@@ -137,50 +153,11 @@ TEST(ServeProtocol, QueryAndResultRoundTrip) {
   }
 }
 
-TEST(ServeProtocol, QueryModeWireForms) {
-  Query q = distributed_query(8, 2.5);
-  q.mode = QueryMode::Hybrid;
-
-  // The flagged form carries the mode byte and round-trips it.
-  WireWriter w;
-  encode_query(w, q, /*with_mode=*/true);
-  {
-    WireReader r(w.data());
-    EXPECT_EQ(decode_query(r, /*with_mode=*/true), q);
-    EXPECT_NO_THROW(r.expect_end());
-  }
-
-  // The flagless (pre-mode) form neither writes nor reads the byte: the
-  // decoded query falls back to Auto.
-  WireWriter w2;
-  encode_query(w2, q);
-  {
-    WireReader r(w2.data());
-    Query out = decode_query(r);
-    EXPECT_NO_THROW(r.expect_end());
-    EXPECT_EQ(out.mode, QueryMode::Auto);
-    out.mode = q.mode;
-    EXPECT_EQ(out, q);
-  }
-
-  // Mode bytes outside the enum are rejected at decode.
-  WireWriter w3;
-  encode_query(w3, q);
-  w3.u8(7);
-  {
-    WireReader r(w3.data());
-    EXPECT_THROW(decode_query(r, /*with_mode=*/true), ProtocolError);
-  }
-}
-
-TEST(ServeProtocol, StatsDecodeToleratesPreModeReplies) {
+TEST(ServeProtocol, StatsRoundTripIsStrict) {
   ServerStats s;
   s.requests_total = 5;
   s.queries_ok = 4;
   s.simulate_cpu_s = 0.25;
-  s.queries_auto = 2;
-  s.queries_event = 1;
-  s.queries_hybrid = 1;
   s.queries_sampled = 2;
   s.sampling_epochs_total = 2002;
   s.sampling_epochs_simulated = 6;
@@ -192,28 +169,18 @@ TEST(ServeProtocol, StatsDecodeToleratesPreModeReplies) {
     EXPECT_NO_THROW(r.expect_end());
   }
 
-  // A reply from a server that predates the sampling counters is 24 bytes
-  // shorter; the decoder must zero-fill that block instead of throwing.
-  const std::string pre_sampling =
-      w.data().substr(0, w.data().size() - 3 * 8);
-  ServerStats expect_pre_sampling = s;
-  expect_pre_sampling.queries_sampled = 0;
-  expect_pre_sampling.sampling_epochs_total = 0;
-  expect_pre_sampling.sampling_epochs_simulated = 0;
-  WireReader r2(pre_sampling);
-  EXPECT_EQ(decode_stats(r2), expect_pre_sampling);
-  EXPECT_NO_THROW(r2.expect_end());
-
-  // One generation further back (pre-mode counters): both appended blocks
-  // zero-fill.
-  const std::string pre_modes = w.data().substr(0, w.data().size() - 6 * 8);
-  ServerStats expect_pre_modes = expect_pre_sampling;
-  expect_pre_modes.queries_auto = 0;
-  expect_pre_modes.queries_event = 0;
-  expect_pre_modes.queries_hybrid = 0;
-  WireReader r3(pre_modes);
-  EXPECT_EQ(decode_stats(r3), expect_pre_modes);
-  EXPECT_NO_THROW(r3.expect_end());
+  // One wire form: a body with trailing bytes is rejected (Client::stats
+  // checks expect_end), and so is every truncation.
+  const std::string trailing = w.data() + std::string(8, '\0');
+  {
+    WireReader r(trailing);
+    (void)decode_stats(r);
+    EXPECT_THROW(r.expect_end(), ProtocolError);
+  }
+  for (std::size_t n = 0; n < w.data().size(); ++n) {
+    WireReader r(std::string_view(w.data()).substr(0, n));
+    EXPECT_THROW((void)decode_stats(r), ProtocolError) << n << " bytes";
+  }
 }
 
 TEST(ServeProtocol, PatternQueryAndResultRoundTrip) {
@@ -376,100 +343,6 @@ TEST(ServeService, BatchedQueriesAreDeterministicAndInOrder) {
   EXPECT_FALSE(decode_query_result(r2).ok);
 }
 
-TEST(ServeService, QueryModesAgreeBitwiseAndAreCounted) {
-  Service svc;
-  const auto session = svc.open_trace_session(load_golden());
-
-  // Hybrid/Auto are conservative-exact: on both an analytic and a
-  // message-passing machine, every requested mode serves the same bytes.
-  for (const char* preset : {"preset = shared", "preset = distributed"}) {
-    Query q = distributed_query(4);
-    q.params_text = preset;
-    q.mode = QueryMode::EventDriven;
-    const QueryResult ev = svc.run_query(session, q);
-    ASSERT_TRUE(ev.ok) << ev.error;
-    q.mode = QueryMode::Hybrid;
-    const QueryResult hy = svc.run_query(session, q);
-    q.mode = QueryMode::Auto;
-    const QueryResult au = svc.run_query(session, q);
-    EXPECT_EQ(ev, hy) << preset;
-    EXPECT_EQ(ev, au) << preset;
-  }
-
-  const ServerStats st = svc.stats();
-  EXPECT_EQ(st.queries_event, 2u);
-  EXPECT_EQ(st.queries_hybrid, 2u);
-  EXPECT_EQ(st.queries_auto, 2u);
-  EXPECT_EQ(st.queries_ok, 6u);
-}
-
-TEST(ServeService, ModeFlaggedBatchesDecodeNextToFlaglessOnes) {
-  Service svc;
-  const auto session = svc.open_trace_session(load_golden());
-
-  // Versioned wire form: kBatchHasModes on the count, a mode byte per
-  // query.  All three modes must come back ok and bitwise-equal.
-  WireWriter w;
-  w.u64(session);
-  w.u32(3u | kBatchHasModes);
-  Query q = distributed_query(4);
-  q.mode = QueryMode::EventDriven;
-  encode_query(w, q, /*with_mode=*/true);
-  q.mode = QueryMode::Hybrid;
-  encode_query(w, q, /*with_mode=*/true);
-  q.mode = QueryMode::Auto;
-  encode_query(w, q, /*with_mode=*/true);
-  const std::string flagged = svc.handle(
-      encode_frame(MsgType::QueryBatch, false, 11, w.data()).substr(4));
-  const auto parsed = try_parse_frame(flagged);
-  ASSERT_TRUE(parsed.has_value());
-  WireReader r(parsed->first.body);
-  ASSERT_EQ(r.u8(), 0) << "flagged batch rejected";
-  ASSERT_EQ(r.u32(), 3u);
-  std::vector<QueryResult> results;
-  for (int i = 0; i < 3; ++i) results.push_back(decode_query_result(r));
-  r.expect_end();
-  for (const auto& res : results) ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
-
-  // The flagless (pre-mode) form from an old client still parses and runs
-  // as Auto.
-  WireWriter w2;
-  w2.u64(session);
-  w2.u32(1);
-  encode_query(w2, distributed_query(4));
-  const std::string flagless = svc.handle(
-      encode_frame(MsgType::QueryBatch, false, 12, w2.data()).substr(4));
-  const auto parsed2 = try_parse_frame(flagless);
-  ASSERT_TRUE(parsed2.has_value());
-  WireReader r2(parsed2->first.body);
-  ASSERT_EQ(r2.u8(), 0) << "flagless batch rejected";
-  ASSERT_EQ(r2.u32(), 1u);
-  const QueryResult legacy = decode_query_result(r2);
-  ASSERT_TRUE(legacy.ok) << legacy.error;
-  EXPECT_EQ(legacy, results[0]);
-
-  const ServerStats st = svc.stats();
-  EXPECT_EQ(st.queries_event, 1u);
-  EXPECT_EQ(st.queries_hybrid, 1u);
-  EXPECT_EQ(st.queries_auto, 2u);  // explicit Auto + the flagless default
-
-  // A flagged batch with a mode byte outside the enum is a batch-wide
-  // protocol error, not a crash.
-  WireWriter w3;
-  w3.u64(session);
-  w3.u32(1u | kBatchHasModes);
-  encode_query(w3, distributed_query(4));
-  w3.u8(7);
-  const std::string bad = svc.handle(
-      encode_frame(MsgType::QueryBatch, false, 13, w3.data()).substr(4));
-  const auto parsed3 = try_parse_frame(bad);
-  ASSERT_TRUE(parsed3.has_value());
-  WireReader r3(parsed3->first.body);
-  EXPECT_NE(r3.u8(), 0) << "out-of-range mode byte was accepted";
-}
-
 TEST(ServeService, SharedSourceCachesAcrossSessions) {
   Service svc;
   const trace::Trace golden = load_golden();
@@ -621,39 +494,6 @@ TEST(ServeServer, ConcurrentClientsShareOneCache) {
   server.join();
 }
 
-TEST(ServeServer, ModeRequestsRoundTripOverTheSocket) {
-  const std::string sock = unique_socket("mode");
-  ServerOptions opt;
-  opt.unix_path = sock;
-  Server server(std::move(opt));
-  server.start();
-
-  Client client = Client::connect_unix(sock);
-  const auto session = client.load_trace(load_golden());
-
-  Query qe = distributed_query(4);
-  qe.mode = QueryMode::EventDriven;
-  Query qh = distributed_query(4);
-  qh.mode = QueryMode::Hybrid;
-  // Mixed batch: a non-default mode makes the client emit the flagged
-  // wire form for the whole batch.
-  const auto results =
-      client.query_batch(session, {qe, qh, distributed_query(4)});
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& r : results) ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_EQ(results[0], results[2]);
-
-  const ServerStats st = client.stats();
-  EXPECT_EQ(st.queries_event, 1u);
-  EXPECT_EQ(st.queries_hybrid, 1u);
-  EXPECT_EQ(st.queries_auto, 1u);
-
-  client.close_session(session);
-  server.stop();
-  server.join();
-}
-
 TEST(ServeServer, MalformedBytesDropTheConnectionOnly) {
   const std::string sock = unique_socket("mal");
   ServerOptions opt;
@@ -725,8 +565,10 @@ TEST(ServeServer, ServedPredictionsMatchInProcessExtrapolatorBitwise) {
 
     model::SimParams params = model::distributed_preset();
     if (mips > 0) params.proc.mips_ratio = mips;
+    core::SimOptions oracle;
+    oracle.mode = core::SimMode::EventDriven;
     const core::Prediction local =
-        core::Extrapolator(params).extrapolate_trace(golden);
+        core::predict(core::prepare_trace(golden), params, oracle);
 
     EXPECT_EQ(served.predicted_ns, local.predicted_time.count_ns());
     EXPECT_EQ(served.ideal_ns, local.ideal_time.count_ns());
@@ -737,6 +579,11 @@ TEST(ServeServer, ServedPredictionsMatchInProcessExtrapolatorBitwise) {
     EXPECT_EQ(served.comm_wait_ns, local.sim.total_comm_wait().count_ns());
     EXPECT_EQ(served.barrier_wait_ns,
               local.sim.total_barrier_wait().count_ns());
+    EXPECT_EQ(served.sampling_epochs, local.sim.sampling.epochs);
+    EXPECT_EQ(served.sampling_classes, local.sim.sampling.classes);
+    EXPECT_EQ(served.sampling_simulated, local.sim.sampling.epochs_simulated);
+    EXPECT_EQ(served.sampling_error_bound_ns,
+              local.sim.sampling.error_bound.count_ns());
   }
 
   server.stop();
@@ -777,15 +624,13 @@ TEST(ServeServer, ServedPatternModelMatchesInProcessServiceBitwise) {
   server.join();
 }
 
-TEST(ServeServer, OldWireFormsStillWorkOnAPatternAwareServer) {
-  // The version gate is the NEW VERB ITSELF: a pattern-aware server must
-  // keep serving every pre-pattern wire form byte-compatibly, and reject
-  // type bytes beyond its ken with an error reply, not a dropped
-  // connection.
-  const std::string sock = unique_socket("oldwire");
+TEST(ServeServer, ForeignTypeAndVersionBytesGetAnErrorReply) {
+  // A type byte or protocol version this server does not speak gets an
+  // error reply, not a dropped connection: the next request on the same
+  // connection still succeeds.
+  const std::string sock = unique_socket("foreign");
   ServerOptions opt;
   opt.unix_path = sock;
-  opt.service = pattern_service_options();
   Server server(std::move(opt));
   server.start();
 
@@ -813,29 +658,8 @@ TEST(ServeServer, OldWireFormsStillWorkOnAPatternAwareServer) {
     }
   };
 
-  // An old client's session open + flagless (pre-mode) batch.
-  {
-    WireWriter w;
-    w.str("mrhist");
-    exchange(encode_frame(MsgType::OpenBench, false, 1, w.data()));
-    WireReader r(reply.body);
-    ASSERT_EQ(r.u8(), 0) << "old OpenBench form rejected";
-    const std::uint64_t session = r.u64();
-
-    WireWriter wb;
-    wb.u64(session);
-    wb.u32(1);  // flagless count: the pre-kBatchHasModes form
-    encode_query(wb, distributed_query(2));
-    exchange(encode_frame(MsgType::QueryBatch, false, 2, wb.data()));
-    WireReader rb(reply.body);
-    ASSERT_EQ(rb.u8(), 0) << "old flagless batch rejected";
-    ASSERT_EQ(rb.u32(), 1u);
-    const QueryResult res = decode_query_result(rb);
-    EXPECT_TRUE(res.ok) << res.error;
-  }
-
-  // A type byte from beyond this server's protocol version: error reply,
-  // connection stays up (the next exchange proves it).
+  // A type byte no verb uses: error reply, connection stays up (the next
+  // exchange proves it).
   {
     std::string future = encode_frame(MsgType::Stats, false, 3, "");
     future[4] = static_cast<char>(MsgType::PatternModel) + 1;
@@ -845,6 +669,23 @@ TEST(ServeServer, OldWireFormsStillWorkOnAPatternAwareServer) {
     exchange(encode_frame(MsgType::Stats, false, 4, ""));
     WireReader r2(reply.body);
     EXPECT_EQ(r2.u8(), 0) << "connection poisoned by unknown type";
+  }
+
+  // A frame from another protocol version: an error reply that echoes the
+  // request id and names this server's version, and the connection stays
+  // up.
+  {
+    std::string foreign = encode_frame(MsgType::Stats, false, 5, "");
+    foreign[5] = static_cast<char>(kProtocolVersion + 1);
+    exchange(foreign);
+    EXPECT_EQ(reply.request_id, 5u);
+    EXPECT_EQ(reply.version, kProtocolVersion);
+    WireReader r(reply.body);
+    EXPECT_NE(r.u8(), 0) << "foreign protocol version was accepted";
+    EXPECT_NE(r.str().find("version"), std::string::npos);
+    exchange(encode_frame(MsgType::Stats, false, 6, ""));
+    WireReader r2(reply.body);
+    EXPECT_EQ(r2.u8(), 0) << "connection poisoned by foreign version";
   }
 
   close(fd);

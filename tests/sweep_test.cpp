@@ -1,7 +1,7 @@
 // Differential + determinism coverage for the parallel sweep engine.
 //
 // The contract under test (core/sweep.hpp): a SweepRunner prediction is
-// bitwise-identical to a sequential Extrapolator::extrapolate_trace over
+// bitwise-identical to a sequential SimMode::EventDriven extrapolation of
 // the same measured trace — for every grid point, at any pool size, under
 // any task submission order, on repeated runs.  "Bitwise" is checked the
 // strong way: every numeric field of the Prediction plus the full
@@ -87,6 +87,9 @@ std::map<int, trace::Trace> measure_all(const std::vector<SweepPoint>& grid) {
 
 // Serialize a Prediction exhaustively; byte-equal strings <=> bitwise-equal
 // predictions (times are integer ns; avg_inflight is printed as hexfloat).
+// The engine event count is left out: it records which simulation path
+// ran, not what was predicted, and the event-driven oracle fires events
+// where Auto's engine-free path fires none.
 std::string serialize(const Prediction& p) {
   std::ostringstream os;
   os << "n=" << p.n_threads << " pred=" << p.predicted_time.count_ns()
@@ -94,7 +97,7 @@ std::string serialize(const Prediction& p) {
      << " meas=" << p.measured_time.count_ns()
      << " makespan=" << p.sim.makespan.count_ns()
      << " msgs=" << p.sim.messages << " bytes=" << p.sim.bytes
-     << " events=" << p.sim.engine_events << " inflight=" << std::hexfloat
+     << " inflight=" << std::hexfloat
      << p.sim.avg_inflight << std::defaultfloat << '\n';
   for (const auto& t : p.sim.threads) {
     os << "  t: " << t.compute.count_ns() << ' ' << t.comm_wait.count_ns()
@@ -111,7 +114,8 @@ std::string serialize(const Prediction& p) {
 std::string serialize(const SweepResult& r) {
   std::ostringstream os;
   for (std::size_t i = 0; i < r.predictions.size(); ++i)
-    os << "[" << i << " " << r.grid[i].label << "]\n"
+    os << "[" << i << " " << r.grid[i].label
+       << " events=" << r.predictions[i].sim.engine_events << "]\n"
        << serialize(r.predictions[i]);
   return os.str();
 }
@@ -121,15 +125,22 @@ void expect_equal(const Prediction& a, const Prediction& b,
   EXPECT_EQ(serialize(a), serialize(b)) << what;
 }
 
+/// The sequential oracle: the event-driven replay of one grid point.
+Prediction event_reference(const SweepPoint& p, const trace::Trace& measured) {
+  SimOptions oracle;
+  oracle.mode = SimMode::EventDriven;
+  return predict(prepare_trace(measured), p.params, oracle);
+}
+
 TEST(SweepRunner, MatchesSequentialExtrapolationAtEveryPoolSize) {
   const auto grid = test_grid();
   const auto traces = measure_all(grid);
 
-  // Sequential reference: one Extrapolator per point over the same traces.
+  // Sequential reference: one event-driven replay per point over the same
+  // traces.
   std::vector<Prediction> reference;
   for (const auto& p : grid)
-    reference.push_back(
-        Extrapolator(p.params).extrapolate_trace(traces.at(p.n_threads)));
+    reference.push_back(event_reference(p, traces.at(p.n_threads)));
 
   const int hw = util::ThreadPool::default_workers();
   for (int workers : {1, 4, hw}) {
@@ -205,7 +216,7 @@ TEST(SweepRunner, DeterministicAcrossRunsAndSubmissionOrders) {
 // Property test: for a RANDOMIZED grid (random sizes, random machine per
 // cell, random duplicate structure) and a RANDOMIZED submission order,
 // predictions are bitwise-identical across n_workers ∈ {1, 2, 8}, identical
-// to the sequential Extrapolator path, and the cache accounting invariant
+// to the sequential event-driven path, and the cache accounting invariant
 // `hits + misses == grid size` holds in every configuration.  The RNG is
 // seeded per round, so failures reproduce exactly.
 TEST(SweepRunner, RandomizedGridsAreWorkerCountInvariant) {
@@ -231,8 +242,7 @@ TEST(SweepRunner, RandomizedGridsAreWorkerCountInvariant) {
 
     std::vector<Prediction> reference;
     for (const auto& p : grid)
-      reference.push_back(
-          Extrapolator(p.params).extrapolate_trace(traces.at(p.n_threads)));
+      reference.push_back(event_reference(p, traces.at(p.n_threads)));
 
     std::string first_serial;
     for (int workers : {1, 2, 8}) {

@@ -102,7 +102,9 @@ TEST(TraceTest, SplitViewsMatchSplitByThread) {
       // Same events in the same per-thread order, with zero copies.
       EXPECT_EQ(views[v][i].str(), parts[v][i].str());
       EXPECT_EQ(&views[v][i], &t[views[v].merged_index(i)]);
-      if (i > 0) EXPECT_GT(views[v].merged_index(i), prev);
+      if (i > 0) {
+        EXPECT_GT(views[v].merged_index(i), prev);
+      }
       prev = views[v].merged_index(i);
     }
   }

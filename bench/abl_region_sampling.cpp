@@ -2,31 +2,25 @@
 //
 // Iterative programs spend almost all trace length repeating one or two
 // barrier-delimited epochs: a 500-iteration Grid sweep is >1000 epochs of
-// which ~3 are distinct.  The sampled Auto path (DESIGN.md §15) fingerprints
-// every epoch at compile time, walks ONE exemplar per epoch class, and
-// composes the full-trace prediction as sum(class_count x exemplar_time) —
-// bitwise-equal to full simulation when classes are bit-identical (tier 1),
-// and within a certified error bound when near-identical epochs are
-// clustered under a relative tolerance (tier 2).
+// which ~3 are distinct.  The engine-free walk (DESIGN.md §15) groups
+// bit-identical epochs at compile time, walks ONE exemplar per epoch class,
+// and composes the full-trace prediction as sum(class_count x
+// exemplar_time) — bitwise-equal to full simulation.
 //
-// This harness measures both tiers: simulate Grid at 100/500/1000 iterations
-// (102/502/1002 epochs) under Auto (sampled), the full analytic walk (the
-// "hybrid" rows: Auto over the trace without its epoch-class table), and
-// EventDriven against identical translated traces; hold all three bitwise
-// equal; and gate sampled >= 10x full-analytic simulate-stage wall time at
-// >= 1000 epochs.  A cost-perturbed Grid trace (same epoch shapes, deterministic
-// per-epoch jitter) then sweeps the tolerance knob to plot the
-// accuracy-vs-speedup curve and check the certified bound is sound:
-// |sampled - exact| <= error_bound at every tolerance.
+// This harness simulates Grid at 100/500/1000 iterations (102/502/1002
+// epochs) under Auto (sampled), the full analytic walk (the "hybrid" rows:
+// Auto over the trace without its epoch-class table), and EventDriven
+// against identical translated traces; holds all three bitwise equal; and
+// gates sampled >= 10x full-analytic simulate-stage wall time at >= 1000
+// epochs.
 //
-// Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/6),
+// Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/7),
 // which gates the >= 10x dedup speedup at 1002 epochs.
 //
 //   --smoke   run only the Auto grid 1002-epoch cell (CI long-trace smoke,
 //             one minute for the whole measure->predict pipeline)
 #include <time.h>
 
-#include <cmath>
 #include <cstring>
 
 #include "common.hpp"
@@ -61,46 +55,16 @@ suite::SuiteConfig grid_config(std::int64_t iters) {
   return cfg;
 }
 
-/// Deterministically stretch each thread's inter-event gaps by a per-epoch
-/// factor (1 + amp * w_k, w_k an 11-valued pseudo-pattern over the epoch
-/// index k) so recurring epochs keep their exact shape (same ops, same
-/// remote records) but become NEAR-identical instead of bit-identical —
-/// the tier-2 clustering regime.  Translation only consumes per-thread
-/// time deltas, so shifting threads independently is safe.
-trace::Trace perturb_epoch_costs(const trace::Trace& in, double amp) {
-  trace::Trace out = in;
-  auto& ev = out.mutable_events();
-  const int n = out.n_threads();
-  std::vector<std::int64_t> shift(n, 0);     // cumulative, per thread
-  std::vector<util::Time> prev(n);           // previous ORIGINAL time
-  std::vector<std::int64_t> epoch(n, 0);
-  for (auto& e : ev) {
-    const int t = e.thread;
-    const std::int64_t gap = (e.time - prev[t]).count_ns();
-    prev[t] = e.time;
-    const double w =
-        static_cast<double>((epoch[t] * 37) % 11) / 11.0;
-    if (gap > 0) shift[t] += std::llround(static_cast<double>(gap) * amp * w);
-    e.time = e.time + util::Time::ns(shift[t]);
-    if (e.kind == trace::EventKind::BarrierExit) ++epoch[t];
-  }
-  out.sort_by_time();
-  out.validate();
-  return out;
-}
-
 struct Cell {
   double sim_s = 0;
   core::Prediction pred;
 };
 
 Cell run_cell(const core::TranslatedTrace& prepared,
-              const model::SimParams& params, core::SimMode mode,
-              double tolerance = 0.0) {
+              const model::SimParams& params, core::SimMode mode) {
   core::SimOptions opts;
   opts.mode = mode;
   opts.emit_trace = false;
-  opts.epoch_tolerance = tolerance;
   Cell cell;
   cell.sim_s = 1e30;
   for (int i = 0; i < 3; ++i) {
@@ -125,14 +89,11 @@ void print_row(std::int64_t epochs, const char* mode, const Cell& cell) {
   const core::SamplingStats& sp = cell.pred.sim.sampling;
   std::printf(
       "region_sampling bench=grid epochs=%lld mode=%s sim_s=%.6f"
-      " classes=%lld simulated=%lld replayed=%lld approximated=%lld"
-      " error_bound_ns=%lld predicted_ns=%lld\n",
+      " classes=%lld simulated=%lld replayed=%lld predicted_ns=%lld\n",
       static_cast<long long>(epochs), mode, cell.sim_s,
       static_cast<long long>(sp.classes),
       static_cast<long long>(sp.epochs_simulated),
       static_cast<long long>(sp.epochs_replayed),
-      static_cast<long long>(sp.epochs_approximated),
-      static_cast<long long>(sp.error_bound.count_ns()),
       static_cast<long long>(cell.pred.predicted_time.count_ns()));
 }
 
@@ -153,15 +114,13 @@ int run(bool smoke) {
                 sp.active && sp.epochs >= 1000);
     shape_check("distinct classes stayed tiny on the iterative trace",
                 sp.active && sp.classes > 0 && sp.classes <= 8);
-    shape_check("error bound is zero in dedup mode",
-                sp.error_bound == util::Time::zero());
     return 0;
   }
 
   std::printf("Representative-epoch sampling on long iterative traces "
               "(grid, 64 threads, single-cluster target)\n\n");
-  std::printf("  %7s  %-7s %10s  %8s  %10s  %9s\n", "epochs", "mode",
-              "sim wall", "classes", "simulated", "bound");
+  std::printf("  %7s  %-7s %10s  %8s  %10s\n", "epochs", "mode",
+              "sim wall", "classes", "simulated");
 
   bool all_exact = true;
   bool all_sampled = true;
@@ -183,18 +142,17 @@ int run(bool smoke) {
     const core::SamplingStats& sp = au.pred.sim.sampling;
     const std::int64_t epochs = sp.epochs;
 
-    std::printf("  %7lld  %-7s %8.3f ms  %8s  %10s  %9s\n",
+    std::printf("  %7lld  %-7s %8.3f ms  %8s  %10s\n",
                 static_cast<long long>(epochs), "event", ev.sim_s * 1e3, "-",
-                "-", "-");
-    std::printf("  %7lld  %-7s %8.3f ms  %8s  %10s  %9s\n",
+                "-");
+    std::printf("  %7lld  %-7s %8.3f ms  %8s  %10s\n",
                 static_cast<long long>(epochs), "hybrid", hy.sim_s * 1e3, "-",
-                "-", "-");
-    std::printf("  %7lld  %-7s %8.3f ms  %8lld  %10lld  %6lld ns"
+                "-");
+    std::printf("  %7lld  %-7s %8.3f ms  %8lld  %10lld"
                 "   (measure+translate %.2f s)\n",
                 static_cast<long long>(epochs), "auto", au.sim_s * 1e3,
                 static_cast<long long>(sp.classes),
-                static_cast<long long>(sp.epochs_simulated),
-                static_cast<long long>(sp.error_bound.count_ns()), prep_s);
+                static_cast<long long>(sp.epochs_simulated), prep_s);
 
     if (!bitwise_equal(au.pred, hy.pred) || !bitwise_equal(au.pred, ev.pred))
       all_exact = false;
@@ -209,49 +167,7 @@ int run(bool smoke) {
     if (epochs >= 1000) speedup_at_1000 = speedup;
   }
 
-  // Tier 2: cost-perturbed grid (amp = 2% deterministic per-epoch jitter)
-  // under a tolerance sweep.  Every epoch keeps its shape but few stay
-  // bit-identical, so dedup alone wins little; clustering trades certified
-  // error for walked exemplars.  Soundness: |sampled - exact| <= bound.
-  std::printf("\nTolerance sweep on the cost-perturbed 1002-epoch grid "
-              "(2%% per-epoch jitter):\n\n");
-  std::printf("  %9s  %8s  %10s  %12s  %12s\n", "tolerance", "clusters",
-              "simulated", "bound", "actual err");
-  auto prog = suite::make_by_name("grid", grid_config(1000));
-  rt::MeasureOptions mo;
-  mo.n_threads = 64;
-  const trace::Trace perturbed =
-      perturb_epoch_costs(rt::measure(*prog, mo), 0.02);
-  const core::TranslatedTrace prepared = core::prepare_trace(perturbed);
-  const core::Prediction exact =
-      run_cell(without_epoch_classes(prepared), params, core::SimMode::Auto)
-          .pred;
-
-  bool all_sound = true;
-  for (double tol : {0.0, 0.005, 0.02, 0.1}) {
-    const Cell au = run_cell(prepared, params, core::SimMode::Auto, tol);
-    const core::SamplingStats& sp = au.pred.sim.sampling;
-    const std::int64_t actual_err = std::llabs(
-        (au.pred.predicted_time - exact.predicted_time).count_ns());
-    const bool sound = actual_err <= sp.error_bound.count_ns() ||
-                       (tol == 0.0 && actual_err == 0);
-    if (!sound) all_sound = false;
-    std::printf("  %9.3f  %8lld  %10lld  %9lld ns  %9lld ns\n", tol,
-                static_cast<long long>(sp.clusters),
-                static_cast<long long>(sp.epochs_simulated),
-                static_cast<long long>(sp.error_bound.count_ns()),
-                static_cast<long long>(actual_err));
-    std::printf("sampling_tolerance bench=grid tol=%.4f clusters=%lld"
-                " simulated=%lld error_bound_ns=%lld actual_err_ns=%lld"
-                " sound=%d\n",
-                tol, static_cast<long long>(sp.clusters),
-                static_cast<long long>(sp.epochs_simulated),
-                static_cast<long long>(sp.error_bound.count_ns()),
-                static_cast<long long>(actual_err), sound ? 1 : 0);
-  }
-
-  std::printf("\nShape checks (DESIGN.md §15: dedup is exact, clustering "
-              "is certified):\n");
+  std::printf("\nShape checks (DESIGN.md §15: dedup is exact):\n");
   shape_check("auto == hybrid == event-driven bitwise at every length",
               all_exact);
   shape_check("sampled path engaged and walked fewer epochs than the trace",
@@ -264,8 +180,6 @@ int run(bool smoke) {
                   speedup_at_1000);
     shape_check(claim, speedup_at_1000 >= 10.0);
   }
-  shape_check("|sampled - exact| <= certified bound at every tolerance",
-              all_sound);
   return 0;
 }
 

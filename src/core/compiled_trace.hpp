@@ -58,8 +58,8 @@ struct RemoteRec {
   bool is_write = false;
 };
 
-/// One barrier-delimited slice of a thread's op stream (a "segment" in the
-/// hybrid-simulation sense): ops[op_begin..op_end] where ops[op_end] is the
+/// One barrier-delimited slice of a thread's op stream (thread t's share
+/// of one epoch): ops[op_begin..op_end] where ops[op_end] is the
 /// terminating Barrier (or End for the final segment).  Segment e of every
 /// thread lies between global barrier e-1's release and barrier e's release,
 /// so when no remote access crosses a cluster boundary the whole slice has
@@ -100,8 +100,8 @@ struct CompiledThread {
 /// Representative-epoch class table (DESIGN.md §15).  Iterative codes
 /// replay near-identical barrier-delimited epochs thousands of times; this
 /// table groups a trace set's epochs into classes of BIT-IDENTICAL content
-/// so the simulator's sampled path (SimMode::Auto) can walk one exemplar
-/// per class and multiply.
+/// so the simulator's engine-free walk (SimMode::Auto, no trace emitted)
+/// can walk one exemplar per class and multiply.
 ///
 /// Epoch e's content is the cross-thread tuple of segment e's op kinds,
 /// unscaled compute intervals (pre_delta), remote records (peer / declared
@@ -116,9 +116,8 @@ struct CompiledThread {
 /// own class.
 ///
 /// Built once per CompiledTrace (uniform_barriers only — the lockstep
-/// precondition the sampled path shares with the hybrid fast path) and
-/// shared read-only by every simulation; tolerance CLUSTERING of
-/// near-identical classes is per-simulation state (core/simulator.hpp).
+/// precondition the sampled walk shares with the rest of the engine-free
+/// path) and shared read-only by every simulation.
 struct EpochClassTable {
   std::vector<std::uint64_t> fingerprint;  ///< per epoch
   std::vector<std::int32_t> class_of;      ///< per epoch -> class index
@@ -139,7 +138,7 @@ struct CompiledTrace {
   std::vector<CompiledThread> threads;
 
   /// True iff every thread passes the identical barrier-id sequence — the
-  /// lockstep-epoch precondition of the hybrid fast path.  translate()
+  /// lockstep-epoch precondition of the engine-free path.  translate()
   /// output always satisfies this (trace validation enforces it); hand-built
   /// trace sets may not.
   bool uniform_barriers = false;

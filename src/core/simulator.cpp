@@ -1,14 +1,10 @@
 #include "core/simulator.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <deque>
 #include <map>
 #include <memory>
 #include <utility>
-
-#include "core/translate.hpp"
 
 #include "model/barrier_model.hpp"
 #include "model/processor_model.hpp"
@@ -175,16 +171,7 @@ class Simulator {
 
   SimResult run() {
     if (hyb_.path == HybridStats::Path::PureAnalytic) {
-      // Representative-epoch sampling (DESIGN.md §15): only without trace
-      // emission (every epoch must be walked to emit its events), and only
-      // when the compile-time epoch-class table exists (hand-built
-      // CompiledTrace instances may predate it).  Dedup is bitwise-exact,
-      // so eligibility — not correctness — is the only thing these
-      // conditions guard.
-      if (!opts_.emit_trace && compiled_->epoch_classes.built())
-        run_analytic_sampled();
-      else
-        run_analytic();
+      run_analytic();
     } else {
       for (auto& t : threads_) proceed(*t);
       engine_.run();
@@ -440,99 +427,16 @@ class Simulator {
     }
   }
 
-  /// The engine-free path: every segment of every thread collapsed, so the
-  /// whole run is a per-epoch loop of analytic segment walks joined by the
-  /// analytic barrier formula — the same arrival/release/exit values the
-  /// event path computes, without scheduling a single event.  This is what
-  /// makes n = 10^4..10^6 simulated processors feasible.
-  void run_analytic() {
-    const std::int64_t n_barriers = epochs_ - 1;
-    std::vector<Time> cur(static_cast<std::size_t>(n_),  Time::zero());
-    std::vector<Time> wait_start(static_cast<std::size_t>(n_), Time::zero());
-    std::vector<Time> arrival(static_cast<std::size_t>(n_), Time::zero());
-    for (std::int64_t e = 0; e < epochs_; ++e) {
-      Time max_arrival;
-      for (int t = 0; t < n_; ++t) {
-        ThreadCtx& T = *threads_[static_cast<std::size_t>(t)];
-        const Segment& seg = T.code->segments[static_cast<std::size_t>(e)];
-        const Time at = walk_segment(T, seg, cur[static_cast<std::size_t>(t)]);
-        const std::uint32_t i = T.op;
-        ++hyb_.ops_collapsed;
-        T.op = i + 1;
-        emit_at(T, T.code->proto[i], at);
-        if (e < n_barriers) {
-          ++T.barrier;
-          wait_start[static_cast<std::size_t>(t)] = at;
-          // Arrival is the entry-time CPU activity's completion, exactly as
-          // begin_barrier queues it before analytic_arrive records it.
-          arrival[static_cast<std::size_t>(t)] =
-              at + params_.barrier.entry_time;
-          max_arrival = util::max(
-              max_arrival, arrival[static_cast<std::size_t>(t)]);
-        } else {
-          T.state = TState::Done;
-          T.stats.finish = at;
-        }
-      }
-      if (e >= n_barriers) break;
-      // analytic_arrive fires the releases when the last arrival lands
-      // (engine clock == max arrival), clamping each exit to that instant.
-      const std::vector<Time> release =
-          model::analytic_release(params_.barrier, arrival);
-      const std::int32_t id =
-          threads_[0]->code->barrier_ids[static_cast<std::size_t>(e)];
-      for (int t = 0; t < n_; ++t) {
-        ThreadCtx& T = *threads_[static_cast<std::size_t>(t)];
-        const Time exit_at =
-            util::max(release[static_cast<std::size_t>(t)], max_arrival);
-        Event exit;
-        exit.kind = EventKind::BarrierExit;
-        exit.barrier_id = id;
-        emit_at(T, exit, exit_at);
-        T.stats.barrier_wait +=
-            exit_at - wait_start[static_cast<std::size_t>(t)];
-        cur[static_cast<std::size_t>(t)] = exit_at;
-      }
-    }
-  }
-
-  // --- representative-epoch sampling (DESIGN.md §15) -------------------------
-  //
-  // Why Σ class_count × exemplar_advance is EXACT on the pure-analytic
-  // path:
-  //
-  //   * walk_segment(T, seg, start) is start-translation-invariant — every
-  //     step adds an increment that depends only on segment content and
-  //     params (integer ns addition is exact), so a segment's advance and
-  //     stat deltas are properties of its CONTENT, not its position;
-  //   * model::analytic_release broadcasts ONE release instant to every
-  //     thread and is itself translation-invariant, so after every analytic
-  //     barrier all threads stand at the same uniform time — each epoch
-  //     starts from offset zero;
-  //   * therefore bit-identical epochs (EpochClassTable classes) have
-  //     bit-identical advances and per-thread stat deltas, and the
-  //     epoch-by-epoch sum reorders into per-class integer multiplies
-  //     without changing a single bit.
-  //
-  // The full-trace prediction is composed as Σ_c count_c × advance_c over
-  // the barrier epochs plus the final (End-terminated, always singleton)
-  // epoch's walk; non-recurring warmup/teardown epochs are singleton
-  // classes, i.e. replayed exactly.  Cost: O(classes) walks instead of
-  // O(epochs) — the speedup is epochs/classes, ~300x for a 1000-iteration
-  // Grid run.
-
   /// Scale a span by an integer count — exact (no llround), unlike
   /// Time::operator*(double).
   static Time times(Time t, std::int64_t k) {
     return Time::ns(t.count_ns() * k);
   }
 
-  /// Replace the delta `s − before` by `m` copies of it: the per-class
-  /// stat composition.  barrier_wait and finish are excluded by
-  /// construction — walk_segment never touches them.
+  /// Replace the delta `s − before` by `m` copies of it.  barrier_wait and
+  /// finish are excluded by construction — walk_segment never touches them.
   static void scale_stats_delta(ThreadStats& s, const ThreadStats& before,
                                 std::int64_t m) {
-    if (m == 1) return;
     const std::int64_t k = m - 1;
     s.compute += times(s.compute - before.compute, k);
     s.comm_wait += times(s.comm_wait - before.comm_wait, k);
@@ -547,163 +451,92 @@ class Simulator {
     s.polls += (s.polls - before.polls) * k;
   }
 
-  /// Tolerance clustering test: can class `c` take its costs from class
-  /// `rep`'s exemplar?  Requires identical structure (same op kinds and
-  /// remote records — communication cost is then IDENTICAL, only compute
-  /// intervals differ) and per-thread interval distance within the
-  /// relative tolerance.  On success `slack_out` is the certified
-  /// per-epoch advance error:
+  /// The engine-free path: every segment of every thread collapsed, so the
+  /// whole run is a walk over (epoch, multiplicity) units — analytic
+  /// segment walks joined by the analytic barrier formula, the same
+  /// arrival/release/exit values the event path computes without scheduling
+  /// a single event.  This is what makes n = 10^4..10^6 simulated
+  /// processors feasible.
   ///
-  ///   per thread, |walk(c) − walk(rep)| = |Σ scale(aᵢ) − Σ scale(bᵢ)|
-  ///     <= ratio · Σ|aᵢ − bᵢ| + 1 ns per interval (one llround each;
-  ///        exact — no rounding term — when MipsRatio == 1), and
-  ///   the barrier release is max(arrivals) + constants: monotone and
-  ///   translation-invariant, hence 1-Lipschitz in the sup norm, so the
-  ///   epoch advance error is at most the worst per-thread walk error.
-  bool try_cluster(const EpochClassTable& tab, std::int32_t rep,
-                   std::int32_t c, double tol, Time& slack_out) const {
-    const CompiledTrace& ct = *compiled_;
-    const std::int64_t ea = tab.exemplar[static_cast<std::size_t>(rep)];
-    const std::int64_t eb = tab.exemplar[static_cast<std::size_t>(c)];
-    if (!epochs_same_shape(ct, ea, eb)) return false;
-    const double ratio = params_.proc.mips_ratio;
-    std::int64_t max_slack_ns = 0;
-    for (int t = 0; t < n_; ++t) {
-      const CompiledThread& th = ct.threads[static_cast<std::size_t>(t)];
-      const Segment& sa = th.segments[static_cast<std::size_t>(ea)];
-      const Segment& sb = th.segments[static_cast<std::size_t>(eb)];
-      const std::uint32_t n_ops = sa.op_end - sa.op_begin;
-      std::int64_t sum_abs = 0;
-      for (std::uint32_t i = 0; i <= n_ops; ++i) {
-        const std::int64_t d =
-            th.pre_delta[sa.op_begin + i].count_ns() -
-            th.pre_delta[sb.op_begin + i].count_ns();
-        sum_abs += d < 0 ? -d : d;
-      }
-      const auto bigger =
-          std::max(sa.presum.count_ns(), sb.presum.count_ns());
-      if (static_cast<double>(sum_abs) > tol * static_cast<double>(bigger))
-        return false;
-      const std::int64_t slack =
-          ratio == 1.0
-              ? sum_abs
-              : static_cast<std::int64_t>(
-                    std::ceil(ratio * static_cast<double>(sum_abs))) +
-                    (n_ops + 1);
-      max_slack_ns = std::max(max_slack_ns, slack);
-    }
-    slack_out = Time::ns(max_slack_ns);
-    return true;
-  }
-
-  void run_analytic_sampled() {
+  /// Every unit starts from `base`, the uniform instant the previous
+  /// analytic barrier released every thread (model::analytic_release has
+  /// one exit for all).  walk_segment is start-translation-invariant (each
+  /// step adds a content-dependent integer increment), so a unit's advance
+  /// and per-thread stat deltas depend on its epoch's CONTENT only, and m
+  /// bit-identical epochs cost exactly m times one of them.  Hence the
+  /// units (DESIGN.md §15):
+  ///
+  ///   * every epoch with multiplicity 1 when the trace is emitted (each
+  ///     epoch's events need their own times) or the compiled trace has no
+  ///     epoch-class table (hand-built CompiledTrace instances);
+  ///   * otherwise one exemplar per class with multiplicity count[c] — the
+  ///     sum reorders into per-class integer multiplies without changing a
+  ///     bit.  Classes are in first-occurrence order, so the End-terminated
+  ///     final epoch (always a singleton) is the last unit.
+  void run_analytic() {
     const EpochClassTable& tab = compiled_->epoch_classes;
-    const auto n_classes = static_cast<std::int32_t>(tab.n_classes());
-    samp_.active = true;
-    samp_.epochs = tab.epochs();
-    samp_.classes = n_classes;
-    // End-terminated, so never mergeable with a barrier epoch: always a
-    // singleton class, walked last (it closes the threads out).
-    const std::int32_t final_class = tab.class_of.back();
-
-    // Tier 2: attach same-shape classes within the relative tolerance to
-    // an earlier representative.  Excluded under Poll (see
-    // SimOptions::epoch_tolerance) — poll-boundary counts jump, so the
-    // Lipschitz bound above would not hold.
-    const bool polling = params_.proc.policy == model::ServicePolicy::Poll;
-    const double tol = polling ? 0.0 : opts_.epoch_tolerance;
-    std::vector<std::int32_t> rep_of(static_cast<std::size_t>(n_classes));
-    std::vector<Time> slack_of(static_cast<std::size_t>(n_classes));
-    std::vector<std::int32_t> reps;
-    reps.reserve(static_cast<std::size_t>(n_classes));
-    for (std::int32_t c = 0; c < n_classes; ++c) {
-      rep_of[static_cast<std::size_t>(c)] = c;
-      if (tol > 0 && c != final_class) {
-        for (const std::int32_t r : reps) {
-          if (r == final_class) continue;
-          Time slack;
-          if (try_cluster(tab, r, c, tol, slack)) {
-            rep_of[static_cast<std::size_t>(c)] = r;
-            slack_of[static_cast<std::size_t>(c)] = slack;
-            break;
-          }
-        }
+    std::vector<std::pair<std::int64_t, std::int64_t>> units;
+    if (opts_.emit_trace || !tab.built()) {
+      units.reserve(static_cast<std::size_t>(epochs_));
+      for (std::int64_t e = 0; e < epochs_; ++e) units.emplace_back(e, 1);
+    } else {
+      samp_.active = true;
+      samp_.epochs = tab.epochs();
+      samp_.classes = tab.n_classes();
+      samp_.epochs_simulated = tab.n_classes();
+      for (std::int64_t c = 0; c < tab.n_classes(); ++c) {
+        const std::int64_t m = tab.count[static_cast<std::size_t>(c)];
+        if (m == 1) ++samp_.epochs_replayed;
+        units.emplace_back(tab.exemplar[static_cast<std::size_t>(c)], m);
       }
-      if (rep_of[static_cast<std::size_t>(c)] == c) reps.push_back(c);
     }
-    samp_.clusters = static_cast<std::int64_t>(reps.size());
 
-    std::vector<std::int64_t> mult(static_cast<std::size_t>(n_classes), 0);
-    for (std::int32_t c = 0; c < n_classes; ++c)
-      mult[static_cast<std::size_t>(rep_of[static_cast<std::size_t>(c)])] +=
-          tab.count[static_cast<std::size_t>(c)];
-
-    // One exemplar walk per cluster, from time zero (walks are
-    // translation-invariant, so position never matters).  `base`
-    // accumulates Σ count × advance over the barrier epochs — the uniform
-    // instant at which the final epoch starts.
     std::vector<Time> at(static_cast<std::size_t>(n_));
     std::vector<Time> arrival(static_cast<std::size_t>(n_));
     Time base;
-    for (const std::int32_t r : reps) {
-      if (r == final_class) continue;
-      const auto e = static_cast<std::size_t>(
-          tab.exemplar[static_cast<std::size_t>(r)]);
-      const std::int64_t m = mult[static_cast<std::size_t>(r)];
+    ThreadStats before;
+    for (const auto& [e, m] : units) {
+      const auto ei = static_cast<std::size_t>(e);
+      const bool final_epoch = e == epochs_ - 1;
       Time max_arrival;
       for (int t = 0; t < n_; ++t) {
         ThreadCtx& T = thr(t);
-        const Segment& seg = T.code->segments[e];
-        const ThreadStats before = T.stats;
-        T.remote = seg.remote_begin;
-        const Time w = walk_segment(T, seg, Time::zero());
-        ++hyb_.ops_collapsed;  // the terminating Barrier op
+        const Segment& seg = T.code->segments[ei];
+        if (m > 1) before = T.stats;
+        T.remote = seg.remote_begin;  // exemplars skip the epochs between
+        const Time w = walk_segment(T, seg, base);
+        ++hyb_.ops_collapsed;  // the terminating Barrier/End op
         T.op = seg.op_end + 1;
+        emit_at(T, T.code->proto[seg.op_end], w);
+        if (m > 1) scale_stats_delta(T.stats, before, m);
+        if (final_epoch) {
+          T.state = TState::Done;
+          T.stats.finish = w;
+          continue;
+        }
+        // Arrival is the entry-time CPU activity's completion, exactly as
+        // begin_barrier queues it before analytic_arrive records it.
         at[static_cast<std::size_t>(t)] = w;
-        arrival[static_cast<std::size_t>(t)] =
-            w + params_.barrier.entry_time;
+        arrival[static_cast<std::size_t>(t)] = w + params_.barrier.entry_time;
         max_arrival =
             util::max(max_arrival, arrival[static_cast<std::size_t>(t)]);
-        scale_stats_delta(T.stats, before, m);
       }
-      const std::vector<Time> release =
-          model::analytic_release(params_.barrier, arrival);
-      const Time exit = util::max(release[0], max_arrival);
-      for (int t = 1; t < n_; ++t)
-        XP_CHECK(util::max(release[static_cast<std::size_t>(t)],
-                           max_arrival) == exit,
-                 "sampled composition needs uniform analytic barrier exits");
-      for (int t = 0; t < n_; ++t)
-        thr(t).stats.barrier_wait +=
-            times(exit - at[static_cast<std::size_t>(t)], m);
-      base += times(exit, m);
-      ++samp_.epochs_simulated;
-    }
-
-    // Final epoch: exact replay (singleton class); closes every thread.
-    {
-      const auto e = static_cast<std::size_t>(
-          tab.exemplar[static_cast<std::size_t>(final_class)]);
+      if (final_epoch) break;
+      // analytic_arrive fires the releases when the last arrival lands
+      // (engine clock == max arrival), clamping the exit to that instant.
+      const Time exit = util::max(
+          model::analytic_release(params_.barrier, arrival), max_arrival);
+      const std::int32_t id = threads_[0]->code->barrier_ids[ei];
       for (int t = 0; t < n_; ++t) {
         ThreadCtx& T = thr(t);
-        const Segment& seg = T.code->segments[e];
-        T.remote = seg.remote_begin;
-        const Time w = walk_segment(T, seg, Time::zero());
-        ++hyb_.ops_collapsed;  // the End op
-        T.op = seg.op_end + 1;
-        T.state = TState::Done;
-        T.stats.finish = base + w;
+        Event ev;
+        ev.kind = EventKind::BarrierExit;
+        ev.barrier_id = id;
+        emit_at(T, ev, exit);
+        T.stats.barrier_wait +=
+            times(exit - at[static_cast<std::size_t>(t)], m);
       }
-      ++samp_.epochs_simulated;
-    }
-
-    for (std::int32_t c = 0; c < n_classes; ++c) {
-      const auto ci = static_cast<std::size_t>(c);
-      if (rep_of[ci] != c)
-        samp_.epochs_approximated += tab.count[ci];
-      else if (tab.count[ci] == 1)
-        ++samp_.epochs_replayed;
-      samp_.error_bound += times(slack_of[ci], tab.count[ci]);
+      base += times(exit - base, m);
     }
   }
 
@@ -1023,12 +856,10 @@ class Simulator {
       b.arrival.assign(static_cast<std::size_t>(n_), Time::zero());
     b.arrival[static_cast<std::size_t>(T.id)] = engine_.now();
     if (++b.count < n_) return;
-    const std::vector<Time> release =
-        model::analytic_release(params_.barrier, b.arrival);
+    const Time at = util::max(
+        model::analytic_release(params_.barrier, b.arrival), engine_.now());
     const std::int32_t id = T.cur_barrier;
     for (int t = 0; t < n_; ++t) {
-      const Time at = util::max(release[static_cast<std::size_t>(t)],
-                                engine_.now());
       engine_.schedule_at(at, [this, t, id] {
         ThreadCtx& W = thr(t);
         XP_CHECK(W.state == TState::WaitBarrier && W.cur_barrier == id,

@@ -64,9 +64,7 @@ struct ThreadStats {
 ///    release every thread at one uniform instant and segment walks are
 ///    start-translation-invariant, so integer per-class deltas multiply
 ///    without error (DESIGN.md §15).  Every Auto prediction is therefore
-///    bitwise-equal to EventDriven; with SimOptions::epoch_tolerance > 0
-///    it additionally substitutes near-identical classes and reports a
-///    certified error bound (SamplingStats::error_bound).
+///    bitwise-equal to EventDriven.
 ///  * EventDriven — replay every op through the radix-calendar engine.
 ///    The differential oracle the tests hold Auto against.
 enum class SimMode : std::uint8_t { Auto, EventDriven };
@@ -78,15 +76,6 @@ struct SimOptions {
   /// huge-n scaling runs turn it off.  Also disables Auto's epoch sampling
   /// (every epoch must be walked to emit its events).
   bool emit_trace = true;
-  /// Representative-epoch sampling tolerance (Auto only).  0 = exact
-  /// dedup: only bit-identical epochs share an exemplar, predictions stay
-  /// bitwise-equal to full simulation.  > 0 = additionally cluster
-  /// same-shape classes whose per-thread compute totals differ by at most
-  /// this RELATIVE fraction; the substitution error is certified in
-  /// SamplingStats::error_bound.  Ignored (treated as 0) under the Poll
-  /// service policy, whose cost is not Lipschitz in the compute intervals
-  /// (an interval crossing a poll boundary jumps by a full poll overhead).
-  double epoch_tolerance = 0.0;
 };
 
 /// Which path one run took.  segments are per-(epoch, thread)
@@ -107,28 +96,19 @@ struct HybridStats {
 };
 
 /// How representative-epoch sampling fared on one run (SimMode::Auto over
-/// a fully-analytic trace; all zeros otherwise).  Exactness tiers:
-///
-///   * tier 1 (dedup, epoch_tolerance == 0): every epoch's costs come from
-///     a bit-identical exemplar, so the prediction is bitwise-equal to full
-///     simulation and error_bound is zero by construction.
-///   * tier 2 (tolerance clustering): epochs_approximated epochs took their
-///     costs from a same-shape exemplar whose compute intervals differ;
-///     |sampled − exact| <= error_bound on the makespan, certified from the
-///     per-interval differences (DESIGN.md §15 derives the bound).
+/// a fully-analytic trace without trace emission; all zeros otherwise).
+/// Every epoch's costs come from a bit-identical exemplar, so the
+/// prediction is bitwise-equal to full simulation.
 struct SamplingStats {
-  bool active = false;             ///< the sampled path actually ran
+  bool active = false;             ///< the sampled walk actually ran
   std::int64_t epochs = 0;         ///< barrier-delimited epochs in the trace
   std::int64_t classes = 0;        ///< bit-identical epoch classes
-  std::int64_t clusters = 0;       ///< after tolerance clustering (== classes
-                                   ///  when epoch_tolerance == 0)
   std::int64_t epochs_simulated = 0;    ///< exemplar walks performed
   std::int64_t epochs_replayed = 0;     ///< non-recurring (count-1) epochs
                                         ///  replayed exactly, warmup/teardown
-  std::int64_t epochs_approximated = 0; ///< epochs costed from a tolerance-
-                                        ///  substituted exemplar
-  Time error_bound;                ///< certified |sampled − exact| makespan
-                                   ///  bound (zero in dedup mode)
+  /// |sampled − exact| makespan error: always zero, since dedup is exact.
+  /// Kept as an output for callers that report it.
+  Time error_bound;
 };
 
 struct SimResult {

@@ -1,7 +1,5 @@
 #include "core/sweep.hpp"
 
-#include <time.h>
-
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -12,21 +10,6 @@
 #include "util/thread_pool.hpp"
 
 namespace xp::core {
-
-namespace {
-
-/// CPU seconds consumed by the calling thread.  The per-stage CPU sums are
-/// built from deltas of this clock taken on the worker that ran the job, so
-/// they measure work done, not wall time spent time-sliced against the
-/// other workers (see SweepStages).
-double thread_cpu_seconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-}  // namespace
 
 // Tripwire for the cache-key contract: TranslateOptions currently holds
 // {bool remove_event_overhead; Time event_overhead_override} and the hash
@@ -279,9 +262,9 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
       rt::MeasureOptions mo;
       mo.n_threads = n;
       mo.host = opt_.host;
-      const double cpu0 = thread_cpu_seconds();
+      const double cpu0 = util::thread_cpu_seconds();
       trace::Trace t = rt::measure(*prog, mo);
-      if (measure_cpu_s) *measure_cpu_s = thread_cpu_seconds() - cpu0;
+      if (measure_cpu_s) *measure_cpu_s = util::thread_cpu_seconds() - cpu0;
       return t;
     };
   };
@@ -323,14 +306,14 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     pool.submit(
         [&, j] {
           PrewarmJob& job = jobs[j];
-          const double cpu0 = thread_cpu_seconds();
+          const double cpu0 = util::thread_cpu_seconds();
           try {
             job.result = cache_->get_or_prepare(
                 job.key, measure_fn(&job.measure_cpu_s));
           } catch (...) {
             keep_first_error();
           }
-          job.total_cpu_s = thread_cpu_seconds() - cpu0;
+          job.total_cpu_s = util::thread_cpu_seconds() - cpu0;
         },
         static_cast<double>(jobs[j].key.n_threads));
   }
@@ -388,16 +371,15 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   for (std::size_t i : order) {
     pool.submit(
         [&, i] {
-          const double cpu0 = thread_cpu_seconds();
+          const double cpu0 = util::thread_cpu_seconds();
           try {
             SimOptions sopts;
             sopts.emit_trace = opt_.emit_traces;
-            sopts.epoch_tolerance = opt_.epoch_tolerance;
             out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
           } catch (...) {
             keep_first_error();
           }
-          sim_cpu[i] = thread_cpu_seconds() - cpu0;
+          sim_cpu[i] = util::thread_cpu_seconds() - cpu0;
         },
         sim_cost(i));
   }

@@ -198,12 +198,8 @@ struct SweepOptions {
   /// Keep each prediction's extrapolated trace (SimOptions::emit_trace).
   /// phase_fit and pattern composition read them, so they stay on by
   /// default; prediction-only sweeps can turn them off, which also lets
-  /// engine-free cells take the representative-epoch sampled path.
+  /// engine-free cells walk one exemplar per epoch class (exact).
   bool emit_traces = true;
-  /// Epoch-class clustering tolerance
-  /// (SimOptions::epoch_tolerance).  Only reachable when emit_traces is
-  /// off; 0 keeps the sampled path bitwise-exact.
-  double epoch_tolerance = 0.0;
 };
 
 class SweepRunner {

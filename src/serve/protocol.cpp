@@ -128,7 +128,6 @@ void encode_query(WireWriter& w, const Query& q) {
   w.i32(q.n_procs);
   w.f64(q.mips_ratio);
   w.str(q.params_text);
-  w.f64(q.epoch_tolerance);
 }
 
 Query decode_query(WireReader& r) {
@@ -136,11 +135,6 @@ Query decode_query(WireReader& r) {
   q.n_procs = r.i32();
   q.mips_ratio = r.f64();
   q.params_text = r.str();
-  q.epoch_tolerance = r.f64();
-  // Reject garbage here, where the reply can say which query is bad — not
-  // deep in the simulator.  (NaN fails both comparisons.)
-  if (!(q.epoch_tolerance >= 0.0) || q.epoch_tolerance > 1.0)
-    throw ProtocolError("epoch tolerance must be in [0, 1]");
   return q;
 }
 

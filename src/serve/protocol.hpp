@@ -55,7 +55,7 @@ constexpr std::uint8_t kReplyBit = 0x80;
 
 /// The wire version this build speaks (the header's second byte).  Bump it
 /// whenever any body's encoding changes.
-constexpr std::uint8_t kProtocolVersion = 2;
+constexpr std::uint8_t kProtocolVersion = 3;
 
 /// type + version + request_id: the smallest legal payload.
 constexpr std::uint32_t kFrameHeaderBytes = 1 + 1 + 8;
@@ -80,11 +80,6 @@ struct Query {
   std::int32_t n_procs = 0;
   double mips_ratio = 0.0;  ///< <= 0: keep the value in params_text
   std::string params_text;
-  /// Representative-epoch sampling tolerance (core::SimOptions
-  /// ::epoch_tolerance), in [0, 1]: 0 = exact dedup only (still
-  /// bitwise-equal to full simulation), > 0 allows clustering
-  /// near-identical epochs under a certified error bound.
-  double epoch_tolerance = 0.0;
 
   bool operator==(const Query&) const = default;
 };
@@ -108,7 +103,8 @@ struct QueryResult {
   std::int64_t sampling_epochs = 0;      ///< epochs in the replayed trace
   std::int64_t sampling_classes = 0;     ///< distinct epoch classes
   std::int64_t sampling_simulated = 0;   ///< exemplar epochs actually walked
-  std::int64_t sampling_error_bound_ns = 0;  ///< certified |err| on predicted_ns
+  /// core::SamplingStats::error_bound: always zero (dedup is exact).
+  std::int64_t sampling_error_bound_ns = 0;
 
   bool operator==(const QueryResult&) const = default;
 };
@@ -260,7 +256,6 @@ std::optional<std::pair<Frame, std::size_t>> try_parse_frame(
 
 // --- message bodies --------------------------------------------------------
 
-/// decode_query rejects an epoch tolerance outside [0, 1] (or NaN).
 void encode_query(WireWriter& w, const Query& q);
 Query decode_query(WireReader& r);
 

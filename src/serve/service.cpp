@@ -1,7 +1,5 @@
 #include "serve/service.hpp"
 
-#include <time.h>
-
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
@@ -21,13 +19,6 @@ namespace {
 
 /// Queries per batch cap: a forged count must not drive task allocation.
 constexpr std::uint32_t kMaxBatchQueries = 1u << 20;
-
-double thread_cpu_seconds() {
-  timespec ts;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 std::string fnv1a_hex(std::string_view bytes) {
   std::uint64_t h = 1469598103934665603ull;
@@ -124,6 +115,38 @@ void Service::close_session(std::uint64_t id) {
 
 // --- query execution -------------------------------------------------------
 
+std::shared_ptr<const core::TranslatedTrace> Service::prepared_for(
+    Source& src, int n) {
+  core::TranslateKey key;
+  key.n_threads = n;
+  key.topt = opt_.translate;
+  bool missed = false;
+  double measure_cpu = 0;
+  const double cpu0 = util::thread_cpu_seconds();
+  auto prepared = src.cache->get_or_prepare(key, [&](int nt) {
+    missed = true;
+    const double m0 = util::thread_cpu_seconds();
+    trace::Trace t;
+    if (src.is_bench) {
+      auto prog = suite::make_by_name(src.bench, opt_.bench_config);
+      rt::MeasureOptions mo;
+      mo.n_threads = nt;
+      mo.host = opt_.host;
+      t = rt::measure(*prog, mo);
+    } else {
+      t = *src.measured;
+    }
+    measure_cpu = util::thread_cpu_seconds() - m0;
+    return t;
+  });
+  if (missed) {
+    measure_cpu_s_.fetch_add(measure_cpu);
+    translate_cpu_s_.fetch_add((util::thread_cpu_seconds() - cpu0) -
+                               measure_cpu);
+  }
+  return prepared;
+}
+
 QueryResult Service::run_query_on(Source& src, const Query& q) {
   QueryResult res;
   try {
@@ -144,45 +167,15 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
     }
     params.validate(q.n_procs);
 
-    core::TranslateKey key;
-    key.n_threads = q.n_procs;
-    key.topt = opt_.translate;
-
-    bool missed = false;
-    double measure_cpu = 0;
-    const double cpu0 = thread_cpu_seconds();
-    const auto prepared = src.cache->get_or_prepare(key, [&](int n) {
-      missed = true;
-      const double m0 = thread_cpu_seconds();
-      trace::Trace t;
-      if (src.is_bench) {
-        auto prog = suite::make_by_name(src.bench, opt_.bench_config);
-        rt::MeasureOptions mo;
-        mo.n_threads = n;
-        mo.host = opt_.host;
-        t = rt::measure(*prog, mo);
-      } else {
-        t = *src.measured;
-      }
-      measure_cpu = thread_cpu_seconds() - m0;
-      return t;
-    });
-    const double prepared_cpu = thread_cpu_seconds();
-    if (missed) {
-      measure_cpu_s_.fetch_add(measure_cpu);
-      translate_cpu_s_.fetch_add((prepared_cpu - cpu0) - measure_cpu);
-    }
-
+    const auto prepared = prepared_for(src, q.n_procs);
+    const double sim0 = util::thread_cpu_seconds();
     // The served result never returns the extrapolated trace, so skip
     // emitting it; that also unlocks the simulator's pre-summed segment
-    // shortcut and epoch sampling.  The sampling knob rides along
-    // verbatim: 0 still means exact epoch dedup.  (The wire decoder has
-    // already range-checked it to [0, 1].)
+    // shortcut and exact epoch dedup.
     core::SimOptions sopts;
     sopts.emit_trace = false;
-    sopts.epoch_tolerance = q.epoch_tolerance;
     const core::Prediction pred = core::predict(*prepared, params, sopts);
-    simulate_cpu_s_.fetch_add(thread_cpu_seconds() - prepared_cpu);
+    simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - sim0);
 
     res.ok = true;
     res.predicted_ns = pred.predicted_time.count_ns();
@@ -254,35 +247,13 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
       // the real "no pattern regions" error after the first prediction.
     }
     for (const int n : q.procs) {
-      core::TranslateKey key;
-      key.n_threads = n;
-      key.topt = opt_.translate;
-
-      bool missed = false;
-      double measure_cpu = 0;
-      const double cpu0 = thread_cpu_seconds();
-      const auto prepared = src.cache->get_or_prepare(key, [&](int nt) {
-        missed = true;
-        const double m0 = thread_cpu_seconds();
-        auto prog = suite::make_by_name(src.bench, opt_.bench_config);
-        rt::MeasureOptions mo;
-        mo.n_threads = nt;
-        mo.host = opt_.host;
-        trace::Trace t = rt::measure(*prog, mo);
-        measure_cpu = thread_cpu_seconds() - m0;
-        return t;
-      });
-      const double prepared_cpu = thread_cpu_seconds();
-      if (missed) {
-        measure_cpu_s_.fetch_add(measure_cpu);
-        translate_cpu_s_.fetch_add((prepared_cpu - cpu0) - measure_cpu);
-      }
-
+      const auto prepared = prepared_for(src, n);
+      const double sim0 = util::thread_cpu_seconds();
       // Unlike plain queries this verb NEEDS the extrapolated trace: the
       // composed model is extracted from its re-timestamped pattern
       // delimiters.
       const core::Prediction pred = core::predict(*prepared, params);
-      simulate_cpu_s_.fetch_add(thread_cpu_seconds() - prepared_cpu);
+      simulate_cpu_s_.fetch_add(util::thread_cpu_seconds() - sim0);
 
       e.procs.push_back(n);
       e.spans.push_back(pattern::extract_regions(pred.sim.extrapolated));

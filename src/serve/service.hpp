@@ -106,6 +106,11 @@ class Service {
                                      const std::function<Source()>& make);
   std::uint64_t register_session(std::shared_ptr<Source> src);
   std::shared_ptr<Source> session_source(std::uint64_t id) const;
+  /// The source's translated trace for `n` threads, measured (bench) or
+  /// taken from the upload (trace) on a cache miss, whose measure and
+  /// translate+compile CPU it adds to the stats.
+  std::shared_ptr<const core::TranslatedTrace> prepared_for(Source& src,
+                                                            int n);
   QueryResult run_query_on(Source& src, const Query& q);
   PatternModelResult run_pattern_model_on(Source& src, const PatternQuery& q);
 

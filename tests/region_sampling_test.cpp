@@ -1,18 +1,15 @@
 // Differential suite for representative-epoch sampling (DESIGN.md §15).
 //
-// The sampled Auto path simulates ONE exemplar per epoch class and
-// composes the full-trace prediction as sum(class_count x exemplar_time).
-// The contract under test has two tiers: identical-epoch dedup
-// (epoch_tolerance == 0) must be BITWISE equal to full simulation on every
+// The engine-free walk simulates ONE exemplar per epoch class and composes
+// the full-trace prediction as sum(class_count x exemplar_time).  That
+// identical-epoch dedup must be BITWISE equal to full simulation on every
 // input — the golden traces, the suite codes, and sweeps at any worker
-// count — and tolerance clustering must stay within its certified error
-// bound (SamplingStats::error_bound) while splitting classes exactly at
-// the tolerance boundary.  The fingerprint itself must be collision-robust:
-// permuting work across threads must never merge epochs.
+// count — and so must the per-epoch walk it shares its loop with (trace
+// emitted, or no class table).  The fingerprint itself must be
+// collision-robust: permuting work across threads must never merge epochs,
+// and epochs a few nanoseconds apart must stay separate classes.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -66,9 +63,9 @@ const Trace& measured(const std::string& bench, int n) {
   return cache.emplace(key, rt::measure(*prog, mo)).first->second;
 }
 
-/// Bitwise comparison of two simulations that both ran with
-/// emit_trace == false (the sampled path never emits a trace, so the
-/// extrapolated-event comparison of hybrid_sim_test does not apply).
+/// Bitwise comparison of two simulations' numeric outputs (the sampled
+/// path never emits a trace, so the extrapolated-event comparison of
+/// hybrid_sim_test does not apply).
 void expect_bitwise_equal(const SimResult& a, const SimResult& b,
                           const std::string& what) {
   SCOPED_TRACE(what);
@@ -97,11 +94,10 @@ void expect_bitwise_equal(const SimResult& a, const SimResult& b,
 }
 
 SimResult run(const CompiledTrace& ct, const model::SimParams& params,
-              SimMode mode, double tolerance = 0.0) {
+              SimMode mode, bool emit_trace = false) {
   SimOptions opts;
   opts.mode = mode;
-  opts.emit_trace = false;
-  opts.epoch_tolerance = tolerance;
+  opts.emit_trace = emit_trace;
   return core::simulate_compiled(ct, params, opts);
 }
 
@@ -210,7 +206,6 @@ TEST(EpochClasses, PermutedThreadEpochsDoNotCollide) {
   // shape; the interesting comparisons are all interior.
   EXPECT_NE(core::epoch_fingerprint(ct, 1), core::epoch_fingerprint(ct, 2));
   EXPECT_FALSE(core::epochs_identical(ct, 1, 2));
-  EXPECT_TRUE(core::epochs_same_shape(ct, 1, 2));
   EXPECT_TRUE(core::epochs_identical(ct, 1, 3));
 
   const EpochClassTable& tab = ct.epoch_classes;
@@ -218,11 +213,10 @@ TEST(EpochClasses, PermutedThreadEpochsDoNotCollide) {
   EXPECT_EQ(tab.class_of[1], tab.class_of[3]);
 }
 
-// Tolerance clustering must split exactly at the relative-cost boundary:
-// epochs differing by 5 ns on a 1005 ns segment (0.4975%) stay separate
-// classes below that ratio and cluster above it — and the clustered
-// prediction stays within the certified bound.
-TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
+// Dedup is exact, not approximate: epochs differing by 5 ns on a 1005 ns
+// segment stay separate classes, and the sampled walk over those classes
+// is bitwise-equal to full simulation.
+TEST(EpochClasses, NearIdenticalEpochsStaySeparateClasses) {
   const Trace t = epoch_trace({{500, 500},    // warmup epoch (carries Begin)
                                {1000, 1000},
                                {1005, 1000},  // +5 ns on thread 0
@@ -234,44 +228,49 @@ TEST(EpochClasses, ToleranceBoundarySplitsClasses) {
   // warmup + {e1,e3} + {e2,e4} + final = 4 classes.
   EXPECT_EQ(tab.n_classes(), 4);
 
+  EXPECT_EQ(tab.class_of[1], tab.class_of[3]);
+  EXPECT_EQ(tab.class_of[2], tab.class_of[4]);
+  EXPECT_NE(tab.class_of[1], tab.class_of[2]);
+
   const model::SimParams params = single_cluster(model::shared_memory_preset());
   const SimResult exact = run(ct, params, SimMode::EventDriven);
-
-  // Below the boundary: 0.004 * 1005 = 4.02 < 5, no clustering.
-  const SimResult below = run(ct, params, SimMode::Auto, 0.004);
-  ASSERT_TRUE(below.sampling.active);
-  EXPECT_EQ(below.sampling.clusters, below.sampling.classes);
-  EXPECT_EQ(below.sampling.epochs_approximated, 0);
-  EXPECT_EQ(below.sampling.error_bound.count_ns(), 0);
-  expect_bitwise_equal(below, exact, "below-tolerance run is still exact");
-
-  // Above the boundary: 0.006 * 1005 = 6.03 >= 5, the +5 ns class folds
-  // onto the first representative.
-  const SimResult above = run(ct, params, SimMode::Auto, 0.006);
-  ASSERT_TRUE(above.sampling.active);
-  EXPECT_EQ(above.sampling.clusters, above.sampling.classes - 1);
-  EXPECT_EQ(above.sampling.epochs_approximated, 2);
-  EXPECT_GT(above.sampling.error_bound.count_ns(), 0);
-  const std::int64_t err =
-      std::llabs((above.makespan - exact.makespan).count_ns());
-  EXPECT_LE(err, above.sampling.error_bound.count_ns());
+  const SimResult au = run(ct, params, SimMode::Auto);
+  ASSERT_TRUE(au.sampling.active);
+  EXPECT_EQ(au.sampling.classes, 4);
+  EXPECT_EQ(au.sampling.epochs_simulated, 4);
+  EXPECT_EQ(au.sampling.error_bound.count_ns(), 0);
+  expect_bitwise_equal(au, exact, "dedup over near-identical epochs");
 }
 
-// Tier-1 acceptance bar: on every suite workload the Auto sampled path is
-// bitwise-equal to EventDriven under the analytic presets where it can
-// engage.
+// Acceptance bar: on every suite workload the Auto walk is bitwise-equal
+// to EventDriven under the analytic presets where it can engage — sampled
+// (one exemplar per class), with the trace emitted, and over a copy
+// without its class table (both of which walk every epoch).
 TEST(EpochClasses, SuiteWorkloadsBitwiseAcrossModes) {
+  // A MipsRatio != 1 forces the per-op walk (no pre-summed segments), so
+  // the exemplar walks read their remote records one by one.
+  model::SimParams scaled = single_cluster(model::shared_memory_preset());
+  scaled.proc.mips_ratio = 0.41;
   const std::vector<std::pair<std::string, model::SimParams>> presets = {
       {"ideal/1cluster", single_cluster(model::ideal_preset())},
       {"shared/1cluster", single_cluster(model::shared_memory_preset())},
+      {"shared/1cluster/mips0.41", scaled},
       {"shared", model::shared_memory_preset()}};
   for (const std::string& bench : suite::benchmark_names()) {
     const CompiledTrace ct =
         CompiledTrace::compile(core::translate(measured(bench, 4)));
+    CompiledTrace unclassed = ct;
+    unclassed.epoch_classes = EpochClassTable{};
     for (const auto& [name, params] : presets) {
       const SimResult ev = run(ct, params, SimMode::EventDriven);
       const SimResult au = run(ct, params, SimMode::Auto);
       expect_bitwise_equal(au, ev, bench + "/" + name + " auto vs event");
+      expect_bitwise_equal(run(ct, params, SimMode::Auto, /*emit_trace=*/true),
+                           ev, bench + "/" + name + " emitting auto vs event");
+      const SimResult flat = run(unclassed, params, SimMode::Auto);
+      EXPECT_FALSE(flat.sampling.active) << bench << "/" << name;
+      expect_bitwise_equal(flat, ev,
+                           bench + "/" + name + " classless auto vs event");
       if (au.sampling.active) {
         // Iterative codes dedup; codes with all-distinct epochs (embar,
         // cyclic) legitimately walk every one.
@@ -298,21 +297,19 @@ TEST(EpochClasses, LongGoldenSampledPathEngagesAndStaysExact) {
   expect_bitwise_equal(au, ev, "long golden auto vs event");
 }
 
-// Under the Poll service policy the per-epoch cost is not Lipschitz in the
-// compute intervals, so the tolerance knob must be ignored: the run stays
-// tier-1 exact with a zero bound no matter how loose the tolerance.
-TEST(EpochClasses, PollPolicyIgnoresTolerance) {
+// Under the Poll service policy every compute interval pays its poll
+// boundaries, which walk_segment counts per interval; the sampled path
+// multiplies those counts per class and must stay exact.
+TEST(EpochClasses, PollPolicySampledPathIsExact) {
   const CompiledTrace ct =
       CompiledTrace::compile(core::translate(load_golden(kGridGoldenPath)));
   model::SimParams params = single_cluster(model::shared_memory_preset());
   params.proc.policy = model::ServicePolicy::Poll;
   const SimResult ev = run(ct, params, SimMode::EventDriven);
-  const SimResult au = run(ct, params, SimMode::Auto, 0.5);
-  if (au.sampling.active) {
-    EXPECT_EQ(au.sampling.epochs_approximated, 0);
-    EXPECT_EQ(au.sampling.error_bound.count_ns(), 0);
-  }
-  expect_bitwise_equal(au, ev, "poll policy, tolerance 0.5");
+  const SimResult au = run(ct, params, SimMode::Auto);
+  ASSERT_TRUE(au.sampling.active);
+  EXPECT_EQ(au.sampling.error_bound.count_ns(), 0);
+  expect_bitwise_equal(au, ev, "poll policy");
 }
 
 // Sweeps must stay deterministic and bitwise-identical across worker

@@ -38,5 +38,5 @@ int main() {
   shape_check("algorithms are indistinguishable at 1 thread",
               times["linear"][0] == times["hardware"][0] ||
                   times["linear"][0] / times["hardware"][0] < 1.01);
-  return 0;
+  return bench::exit_code();
 }

@@ -47,5 +47,5 @@ int main() {
                     ": growing clusters never hurt (within 2%)",
                 monotone);
   }
-  return 0;
+  return bench::exit_code();
 }

@@ -53,5 +53,5 @@ int main() {
               last("bus") >= last("fattree") && last("bus") >= last("crossbar"));
   shape_check("crossbar/fat-tree tolerate the traffic best",
               last("crossbar") <= last("ring"));
-  return 0;
+  return bench::exit_code();
 }

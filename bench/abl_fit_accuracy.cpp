@@ -86,5 +86,5 @@ int main() {
   bench::shape_check("PMNF held-out error <= Amdahl's on a majority of the "
                      "suite",
                      2 * wins >= static_cast<int>(benches.size()));
-  return 0;
+  return bench::exit_code();
 }

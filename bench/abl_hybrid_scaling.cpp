@@ -16,9 +16,10 @@
 // cannot shortcut the walk.  Both paths are exact, so the harness also
 // holds their predictions bitwise equal where both run.
 //
-// Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/4),
-// which gates the analytic walk >= 10x event-driven at n=1024 on both
-// benchmarks.
+// The shape checks gate bitwise equality, the engine-free path and the
+// analytic walk >= 10x event-driven at n=1024 on both benchmarks (the
+// binary exits nonzero when one fails).  The last stdout line is the JSON
+// "hybrid" and "hybrid_speedup_vs_event" sections of BENCH_sim.json.
 //
 //   --smoke   run only the analytic grid n=100000 cell (the CI huge-n smoke
 //             budget is one minute for the whole measure->predict pipeline)
@@ -104,16 +105,14 @@ Cell run_cell(const core::TranslatedTrace& prepared,
   return cell;
 }
 
-void print_row(const std::string& bench, int n, const char* mode,
-               const Cell& cell) {
+JsonObject json_row(const Cell& cell) {
   const auto& h = cell.pred.sim.hybrid;
-  std::printf(
-      "hybrid_sim bench=%s n=%d mode=%s sim_s=%.6f engine_events=%lld"
-      " segments_collapsed=%lld segments_total=%lld path=%s\n",
-      bench.c_str(), n, mode, cell.sim_s,
-      static_cast<long long>(cell.pred.sim.engine_events),
-      static_cast<long long>(h.segments_collapsed),
-      static_cast<long long>(h.segments_total), path_name(h.path));
+  return JsonObject()
+      .num("seconds", cell.sim_s, 6)
+      .count("engine_events", cell.pred.sim.engine_events)
+      .count("segments_collapsed", h.segments_collapsed)
+      .count("segments_total", h.segments_total)
+      .str("path", path_name(h.path));
 }
 
 int run(bool smoke) {
@@ -139,6 +138,7 @@ int run(bool smoke) {
   bool all_exact = true;
   bool all_pure = true;
   std::map<std::string, double> event_s, hybrid_s;
+  JsonObject rows, speedups;
 
   for (const auto& study : studies) {
     for (int n : study.ns) {
@@ -184,41 +184,41 @@ int run(bool smoke) {
       if (hy.pred.sim.hybrid.path != core::HybridStats::Path::PureAnalytic)
         all_pure = false;
 
-      // Machine-readable rows for scripts/bench_json.sh.
-      if (event_feasible) print_row(study.bench, n, "event", ev);
-      print_row(study.bench, n, "hybrid", hy);
-      if (event_feasible)
-        std::printf("hybrid_speedup bench=%s n=%d speedup=%.2fx\n",
-                    study.bench.c_str(), n, ev.sim_s / hy.sim_s);
+      const std::string cell = study.bench + "_n" + std::to_string(n);
+      if (event_feasible) {
+        rows.obj("hybrid_" + cell + "_event", json_row(ev));
+        speedups.num(cell, ev.sim_s / hy.sim_s, 2);
+      }
+      rows.obj("hybrid_" + cell + "_hybrid", json_row(hy));
     }
     std::printf("\n");
   }
 
-  if (smoke) {
-    shape_check("hybrid path stayed engine-free at n=100000", all_pure);
-    return 0;
-  }
-
   std::printf("Shape checks (paper: analytic collapse makes huge-n "
               "prediction tractable):\n");
-  shape_check("hybrid == event-driven bitwise wherever both ran", all_exact);
   shape_check("single-cluster target collapses every segment (engine-free)",
               all_pure);
-  for (const char* bench : {"grid", "cyclic"}) {
-    const std::string key = std::string(bench) + "_1024";
-    const auto e = event_s.find(key);
-    const auto h = hybrid_s.find(key);
-    const double speedup =
-        e != event_s.end() && h != hybrid_s.end() && h->second > 0
-            ? e->second / h->second
-            : 0.0;
-    char claim[128];
-    std::snprintf(claim, sizeof claim,
-                  "hybrid >= 10x event-driven at n=1024 on %s (%.1fx)", bench,
-                  speedup);
-    shape_check(claim, speedup >= 10.0);
+  if (!smoke) {
+    shape_check("hybrid == event-driven bitwise wherever both ran",
+                all_exact);
+    for (const char* bench : {"grid", "cyclic"}) {
+      const std::string key = std::string(bench) + "_1024";
+      const double speedup = hybrid_s.at(key) > 0
+                                 ? event_s.at(key) / hybrid_s.at(key)
+                                 : 0.0;
+      char claim[128];
+      std::snprintf(claim, sizeof claim,
+                    "hybrid >= 10x event-driven at n=1024 on %s (%.1fx)",
+                    bench, speedup);
+      shape_check(claim, speedup >= 10.0);
+    }
   }
-  return 0;
+  std::cout << JsonObject()
+                   .obj("hybrid", rows)
+                   .obj("hybrid_speedup_vs_event", speedups)
+                   .text()
+            << '\n';
+  return exit_code();
 }
 
 }  // namespace

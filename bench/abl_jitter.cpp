@@ -87,5 +87,5 @@ int main() {
               agreement_at_zero == 1.0);
   shape_check("ranking conclusion survives substantial (15%) noise",
               agreement_at_max >= 0.75);
-  return 0;
+  return bench::exit_code();
 }

@@ -44,5 +44,5 @@ int main() {
               embar[0] > embar[2] && embar[2] > embar[4]);
   shape_check("embar at m=1 is ~16x slower than m=16",
               embar[0] / embar[4] > 10.0);
-  return 0;
+  return bench::exit_code();
 }

@@ -12,7 +12,10 @@
 // only, hold out {12, 16}, and score both by mean relative error of the
 // predicted total time on the held-out counts.  Also reports how often the
 // direct simulation lands inside the composed model's confidence band, and
-// prints the Extra-P style experiment file for the first benchmark.
+// prints the Extra-P style experiment file for the first benchmark.  The
+// shape checks gate >= 2 of 3 wins and band coverage (the binary exits
+// nonzero when one fails); the last stdout line is the JSON "pattern"
+// section of BENCH_sim.json.
 #include <cmath>
 #include <iostream>
 #include <sstream>
@@ -46,6 +49,7 @@ int main() {
                      "winner", "band hits"});
   std::map<std::string, double> comp_err, amdahl_err;
   int band_hits = 0, band_total = 0;
+  bench::JsonObject rows;
   std::string first_export;
   for (const auto& name : benches) {
     core::SweepRunner runner(
@@ -105,12 +109,14 @@ int main() {
                        std::to_string(procs.size() - train)});
 
     std::cout << "--- " << name << " ---\n" << cm.str() << '\n';
-    // Machine-parseable row for scripts/bench_json.sh.
-    std::printf(
-        "pattern_fit bench=%s regions=%zu composed_err_pct=%.2f "
-        "amdahl_err_pct=%.2f band_hits=%d band_total=%d\n",
-        name.c_str(), cm.regions.size(), 100 * ce, 100 * ae, hits,
-        static_cast<int>(procs.size() - train));
+    rows.obj("pattern_fit_" + name,
+             bench::JsonObject()
+                 .count("regions", static_cast<long long>(cm.regions.size()))
+                 .num("composed_err_pct", 100 * ce, 2)
+                 .num("amdahl_err_pct", 100 * ae, 2)
+                 .count("band_hits", hits)
+                 .count("band_total",
+                        static_cast<long long>(procs.size() - train)));
   }
   std::cout << table.to_text() << '\n';
 
@@ -121,9 +127,7 @@ int main() {
   for (const auto& name : benches)
     if (comp_err.at(name) <= amdahl_err.at(name)) ++wins;
   std::cout << "composed model wins or ties " << wins << "/" << benches.size()
-            << " pattern benchmarks\n";
-  std::printf("pattern_fit_wins %d/%d\n\n", wins,
-              static_cast<int>(benches.size()));
+            << " pattern benchmarks\n\n";
   bench::shape_check(
       "composed per-pattern PMNF beats flat Amdahl on >= 2 of 3 pattern "
       "benches",
@@ -132,5 +136,6 @@ int main() {
       "held-out direct simulation lands in or near the composed band on a "
       "majority of cells",
       2 * band_hits >= band_total);
-  return 0;
+  std::cout << bench::JsonObject().obj("pattern", rows).text() << '\n';
+  return bench::exit_code();
 }

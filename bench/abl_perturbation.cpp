@@ -64,5 +64,5 @@ int main() {
               worst_corrected < 1.0);
   shape_check("uncorrected predictions drift far more than corrected ones",
               worst_uncorrected > 10.0 * std::max(worst_corrected, 0.01));
-  return 0;
+  return bench::exit_code();
 }

@@ -12,10 +12,9 @@
 // Auto over the trace without its epoch-class table), and EventDriven
 // against identical translated traces; holds all three bitwise equal; and
 // gates sampled >= 10x full-analytic simulate-stage wall time at >= 1000
-// epochs.
-//
-// Output rows are parsed by scripts/bench_json.sh (schema xp-bench-sim/7),
-// which gates the >= 10x dedup speedup at 1002 epochs.
+// epochs.  A failed shape check makes the binary exit nonzero.  The last
+// stdout line is the JSON "sampling" and "sampling_speedup_vs_hybrid"
+// sections of BENCH_sim.json.
 //
 //   --smoke   run only the Auto grid 1002-epoch cell (CI long-trace smoke,
 //             one minute for the whole measure->predict pipeline)
@@ -85,20 +84,22 @@ bool bitwise_equal(const core::Prediction& a, const core::Prediction& b) {
          a.sim.total_barrier_wait() == b.sim.total_barrier_wait();
 }
 
-void print_row(std::int64_t epochs, const char* mode, const Cell& cell) {
+void add_row(JsonObject& rows, std::int64_t epochs, const char* mode,
+             const Cell& cell) {
   const core::SamplingStats& sp = cell.pred.sim.sampling;
-  std::printf(
-      "region_sampling bench=grid epochs=%lld mode=%s sim_s=%.6f"
-      " classes=%lld simulated=%lld replayed=%lld predicted_ns=%lld\n",
-      static_cast<long long>(epochs), mode, cell.sim_s,
-      static_cast<long long>(sp.classes),
-      static_cast<long long>(sp.epochs_simulated),
-      static_cast<long long>(sp.epochs_replayed),
-      static_cast<long long>(cell.pred.predicted_time.count_ns()));
+  rows.obj("sampling_grid_e" + std::to_string(epochs) + "_" + mode,
+           JsonObject()
+               .count("epochs", epochs)
+               .num("seconds", cell.sim_s, 6)
+               .count("classes", sp.classes)
+               .count("epochs_simulated", sp.epochs_simulated)
+               .count("epochs_replayed", sp.epochs_replayed)
+               .count("predicted_ns", cell.pred.predicted_time.count_ns()));
 }
 
 int run(bool smoke) {
   const model::SimParams params = sampling_target();
+  JsonObject rows, speedups;
 
   if (smoke) {
     // CI long-trace smoke: one >= 1000-epoch workload through Auto.
@@ -109,12 +110,13 @@ int run(bool smoke) {
     const core::TranslatedTrace prepared = core::prepare_trace(measured);
     const Cell au = run_cell(prepared, params, core::SimMode::Auto);
     const core::SamplingStats& sp = au.pred.sim.sampling;
-    print_row(sp.epochs, "auto", au);
+    add_row(rows, sp.epochs, "auto", au);
     shape_check("sampled path engaged on the 1002-epoch trace",
                 sp.active && sp.epochs >= 1000);
     shape_check("distinct classes stayed tiny on the iterative trace",
                 sp.active && sp.classes > 0 && sp.classes <= 8);
-    return 0;
+    std::cout << JsonObject().obj("sampling", rows).text() << '\n';
+    return exit_code();
   }
 
   std::printf("Representative-epoch sampling on long iterative traces "
@@ -158,12 +160,11 @@ int run(bool smoke) {
       all_exact = false;
     if (!sp.active || sp.epochs_simulated >= epochs) all_sampled = false;
 
-    print_row(epochs, "event", ev);
-    print_row(epochs, "hybrid", hy);
-    print_row(epochs, "auto", au);
+    add_row(rows, epochs, "event", ev);
+    add_row(rows, epochs, "hybrid", hy);
+    add_row(rows, epochs, "auto", au);
     const double speedup = au.sim_s > 0 ? hy.sim_s / au.sim_s : 0.0;
-    std::printf("sampling_speedup bench=grid epochs=%lld speedup=%.2fx\n",
-                static_cast<long long>(epochs), speedup);
+    speedups.num("grid_e" + std::to_string(epochs), speedup, 2);
     if (epochs >= 1000) speedup_at_1000 = speedup;
   }
 
@@ -180,7 +181,12 @@ int run(bool smoke) {
                   speedup_at_1000);
     shape_check(claim, speedup_at_1000 >= 10.0);
   }
-  return 0;
+  std::cout << JsonObject()
+                   .obj("sampling", rows)
+                   .obj("sampling_speedup_vs_hybrid", speedups)
+                   .text()
+            << '\n';
+  return exit_code();
 }
 
 }  // namespace

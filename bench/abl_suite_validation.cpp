@@ -84,5 +84,5 @@ int main() {
               ratios.min() > 0.5 && ratios.max() < 2.0);
   shape_check("suite cost ordering largely preserved (<15% inversions)",
               total > 0 && static_cast<double>(inv) / total < 0.15);
-  return 0;
+  return bench::exit_code();
 }

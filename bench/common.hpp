@@ -8,6 +8,7 @@
 // block restating what the paper observed.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -99,9 +100,63 @@ inline metrics::Curve time_curve_ms(const std::string& label,
   return c;
 }
 
+namespace detail {
+inline bool& any_check_failed() {
+  static bool failed = false;
+  return failed;
+}
+}  // namespace detail
+
+/// Print one shape claim as `[OK ]` or `[??? ]`; a failed claim makes
+/// exit_code() nonzero, so the harness that measures a claim is also the
+/// gate that holds it.
 inline void shape_check(const std::string& claim, bool holds) {
   std::cout << "  [" << (holds ? "OK " : "??? ") << "] " << claim << '\n';
+  if (!holds) detail::any_check_failed() = true;
 }
+
+/// A harness's return value from main: 1 when any shape_check failed.
+inline int exit_code() { return detail::any_check_failed() ? 1 : 0; }
+
+/// One JSON object built key by key.  The machine-readable harnesses end
+/// their stdout with one of these on a single line, keyed by the
+/// BENCH_sim.json sections they own; scripts/bench_json.sh merges those
+/// lines.  Numbers carry a fixed number of decimals so reruns diff
+/// cleanly; a non-finite number is written as null.
+class JsonObject {
+ public:
+  JsonObject& num(const std::string& key, double v, int decimals) {
+    char buf[64] = "null";
+    if (std::isfinite(v)) std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+    return raw(key, buf);
+  }
+  JsonObject& count(const std::string& key, long long v) {
+    return raw(key, std::to_string(v));
+  }
+  JsonObject& str(const std::string& key, const std::string& v) {
+    return raw(key, quoted(v));
+  }
+  JsonObject& obj(const std::string& key, const JsonObject& v) {
+    return raw(key, v.text());
+  }
+  std::string text() const { return "{" + body_ + "}"; }
+
+ private:
+  static std::string quoted(const std::string& s) {
+    std::string out = "\"";
+    for (char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + '"';
+  }
+  JsonObject& raw(const std::string& key, const std::string& value) {
+    if (!body_.empty()) body_ += ", ";
+    body_ += quoted(key) + ": " + value;
+    return *this;
+  }
+  std::string body_;
+};
 
 /// `prepared` without its epoch-class table, so SimMode::Auto runs the
 /// plain engine-free walk of every epoch instead of sampling one exemplar

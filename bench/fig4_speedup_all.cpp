@@ -53,5 +53,5 @@ int main() {
               s("mgrid", 5) < 2.0 * s("mgrid", 2));
   shape_check("Sparse and Sort are hurt by communication (S(32) < 8)",
               s("sparse", 5) < 8 && s("sort", 5) < 8);
-  return 0;
+  return bench::exit_code();
 }

@@ -84,5 +84,5 @@ int main() {
               at32("actual + low startup") < at32("actual sizes 20MB/s"));
   shape_check("ideal environment is the lower bound",
               at32("ideal (zero cost)") <= at32("actual + low startup"));
-  return 0;
+  return bench::exit_code();
 }

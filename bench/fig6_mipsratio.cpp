@@ -70,5 +70,5 @@ int main() {
               s32("mgrid", 2.0) > s32("mgrid", 0.5));
   shape_check("Poisson: faster processors mainly hurt at 32 procs",
               s32("poisson", 0.5) < s32("poisson", 2.0));
-  return 0;
+  return bench::exit_code();
 }

@@ -59,5 +59,5 @@ int main() {
   shape_check(
       "faster processors + expensive startup favor few processors (<= 4)",
       best["ratio=0.25 startup=200us"] <= 4);
-  return 0;
+  return bench::exit_code();
 }

@@ -90,5 +90,5 @@ int main() {
   shape_check("larger poll intervals do not hurt Cyclic at 32 procs",
               T("cyclic", "poll 1000us", 5) <=
                   T("cyclic", "poll 100us", 5) * 1.05);
-  return 0;
+  return bench::exit_code();
 }

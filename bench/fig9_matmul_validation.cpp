@@ -98,5 +98,5 @@ int main() {
               worst_regret < 0.05);
   shape_check("mean |error| modest for a high-level simulation (< 25%)",
               err.mean() < 25.0);
-  return 0;
+  return bench::exit_code();
 }

@@ -117,5 +117,5 @@ int main() {
   shape_check("hardware barrier is the cheapest variant",
               run_with(sweeps[8].params, n, bars) <=
                   run_with(sweeps[7].params, n, bars));
-  return 0;
+  return bench::exit_code();
 }

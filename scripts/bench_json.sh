@@ -1,9 +1,16 @@
 #!/bin/sh
 # Perf-regression harness: run the engine micro-benchmarks (short
-# iterations) plus the sweep-scaling, serve-QPS, hybrid-simulation and
-# pattern-fit harnesses and distill them into BENCH_sim.json at the
-# repository root — one items/sec (or seconds) entry per benchmark, stable
+# iterations) plus the sweep-scaling, serve-QPS, hybrid-simulation,
+# pattern-fit and region-sampling harnesses and merge them into
+# BENCH_sim.json at the repository root — one entry per benchmark, stable
 # keys, so two checkouts can be diffed with `jq` or eyeballed in a PR.
+#
+# Each harness holds its own claims: its shape checks exit nonzero when one
+# fails, and its last stdout line is one JSON object holding its sections
+# of BENCH_sim.json.  This script fails when any harness fails, merges
+# those lines, and keeps the one gate that needs google-benchmark output:
+# the fiber-switch ratio.  To explore without gates, run a harness
+# directly.
 #
 # Usage: scripts/bench_json.sh [build-dir]   (default: build)
 #
@@ -19,12 +26,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
+HARNESSES="abl_sweep_scaling abl_serve_qps abl_hybrid_scaling abl_pattern_fit
+           abl_region_sampling"
 
-# Check every harness up front and name ALL the missing ones in one clear
+# Check every binary up front and name ALL the missing ones in one clear
 # message (instead of dying mid-run, or handing jq a half-written file).
 missing=""
-for bin in micro_engine abl_sweep_scaling abl_serve_qps abl_hybrid_scaling \
-           abl_pattern_fit abl_region_sampling; do
+for bin in micro_engine $HARNESSES; do
   [ -x "$BUILD/bench/$bin" ] || missing="$missing $bin"
 done
 if [ -n "$missing" ]; then
@@ -34,50 +42,36 @@ if [ -n "$missing" ]; then
   exit 1
 fi
 
-raw_json=$(mktemp)
-sweep_log=$(mktemp)
-serve_log=$(mktemp)
-hybrid_log=$(mktemp)
-pattern_log=$(mktemp)
-sampling_log=$(mktemp)
-trap 'rm -f "$raw_json" "$sweep_log" "$serve_log" "$hybrid_log" \
-  "$pattern_log" "$sampling_log"' EXIT
+out_dir=$(mktemp -d)
+trap 'rm -rf "$out_dir"' EXIT
 
 "$BUILD/bench/micro_engine" \
   --benchmark_min_time=0.2 \
   --benchmark_repetitions=5 \
   --benchmark_report_aggregates_only=false \
-  --benchmark_format=json >"$raw_json"
+  --benchmark_format=json >"$out_dir/micro_engine.json"
 
-"$BUILD/bench/abl_sweep_scaling" | tee "$sweep_log" >&2
+# Harness reports go to stderr as they finish; every harness runs even
+# after one fails, so a single run names all the failures.
+failed=""
+for bin in $HARNESSES; do
+  status=0
+  "$BUILD/bench/$bin" >"$out_dir/$bin.out" || status=$?
+  cat "$out_dir/$bin.out" >&2
+  [ "$status" -eq 0 ] || failed="$failed $bin"
+done
+if [ -n "$failed" ]; then
+  echo "error: harnesses failed their shape checks:$failed" >&2
+  exit 1
+fi
 
-# The serve load generator also shape-checks that every served prediction
-# is bitwise-reproducible; missing rows fail the serve gate below.
-"$BUILD/bench/abl_serve_qps" | tee "$serve_log" >&2
-
-# Hybrid vs event-driven simulation scaling; also shape-checks bitwise
-# equality of the two modes and engine-free collapse on the single-cluster
-# target (bench/abl_hybrid_scaling).
-"$BUILD/bench/abl_hybrid_scaling" | tee "$hybrid_log" >&2
-
-# Composed per-pattern models vs flat Amdahl on held-out thread counts;
-# also shape-checks band coverage (bench/abl_pattern_fit).
-"$BUILD/bench/abl_pattern_fit" | tee "$pattern_log" >&2
-
-# Representative-epoch sampling on long iterative traces; also shape-checks
-# bitwise equality of the sampled dedup path (bench/abl_region_sampling).
-"$BUILD/bench/abl_region_sampling" | tee "$sampling_log" >&2
-
-python3 - "$raw_json" "$sweep_log" "$serve_log" "$hybrid_log" \
-  "$pattern_log" "$sampling_log" <<'PY'
+python3 - "$out_dir" $HARNESSES <<'PY'
 import json
-import re
+import os
 import sys
 
-raw, sweep_log, serve_log, hybrid_log, pattern_log, sampling_log = (
-    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5],
-    sys.argv[6])
-with open(raw) as f:
+out_dir, harnesses = sys.argv[1], sys.argv[2:]
+with open(os.path.join(out_dir, "micro_engine.json")) as f:
     data = json.load(f)
 
 # Best-of over repetitions, keyed by benchmark name (items/sec where the
@@ -94,163 +88,18 @@ for b in data.get("benchmarks", []):
     entry["ns_per_iteration"] = min(
         entry.get("ns_per_iteration", float("inf")), b["real_time"])
 
-# Sweep harness: the host CPU count (gates below are conditional on it),
-# the warm-cache "workers ... best of N" rows, and the cold-cache
-# "e2e N total meas.cpu tra.cpu sim.cpu prew.wall sim.wall speedup"
-# breakdown rows.  CPU columns are summed CLOCK_THREAD_CPUTIME_ID seconds
-# (work done — flat across worker counts unless there is contention);
-# wall columns are per-stage elapsed time (what parallelism shrinks).
-sweep = {}
-hw = 0
-with open(sweep_log) as f:
-    for line in f:
-        m = re.match(r"host hardware_concurrency:\s+(\d+)", line)
-        if m:
-            hw = int(m.group(1))
-            continue
-        m = re.match(r"\s*(\d+)\s+([0-9.]+) s\s+([0-9.]+)x", line)
-        if m:
-            sweep[f"sweep_grid_workers_{m.group(1)}"] = {
-                "seconds": float(m.group(2)),
-                "speedup_vs_sequential": float(m.group(3)),
-            }
-            continue
-        m = re.match(
-            r"\s*e2e\s+(\d+)\s+([0-9.]+) s\s+([0-9.]+) s\s+([0-9.]+) s"
-            r"\s+([0-9.]+) s\s+([0-9.]+) s\s+([0-9.]+) s\s+([0-9.]+)x", line)
-        if m:
-            sweep[f"sweep_e2e_workers_{m.group(1)}"] = {
-                "seconds": float(m.group(2)),
-                "measure_cpu_seconds": float(m.group(3)),
-                "translate_cpu_seconds": float(m.group(4)),
-                "simulate_cpu_seconds": float(m.group(5)),
-                "prewarm_wall_seconds": float(m.group(6)),
-                "simulate_wall_seconds": float(m.group(7)),
-                "speedup_vs_sequential": float(m.group(8)),
-            }
-            continue
-        # Per-mode attribution of the grid's simulation work (which cells
-        # collapsed analytically vs ran the event engine).
-        m = re.match(
-            r"e2e_modes workers=(\d+) cells_event=(\d+) cells_hybrid=(\d+)"
-            r" events_fired=(\d+) segments_collapsed=(\d+)"
-            r" segments_total=(\d+) ops_collapsed=(\d+)", line)
-        if m:
-            sweep.setdefault(f"sweep_e2e_workers_{m.group(1)}", {}).update({
-                "cells_event": int(m.group(2)),
-                "cells_hybrid": int(m.group(3)),
-                "sim_events_fired": int(m.group(4)),
-                "sim_segments_collapsed": int(m.group(5)),
-                "sim_segments_total": int(m.group(6)),
-                "sim_ops_collapsed": int(m.group(7)),
-            })
-
-# Hybrid-simulation harness: per-cell "hybrid_sim ..." rows and the
-# within-run "hybrid_speedup bench=... n=... speedup=...x" ratios
-# (bench/abl_hybrid_scaling).
-hybrid = {}
-hybrid_speedups = {}
-with open(hybrid_log) as f:
-    for line in f:
-        m = re.match(
-            r"hybrid_sim bench=(\w+) n=(\d+) mode=(\w+) sim_s=([0-9.]+)"
-            r" engine_events=(\d+) segments_collapsed=(\d+)"
-            r" segments_total=(\d+) path=(\w+)", line)
-        if m:
-            hybrid[f"hybrid_{m.group(1)}_n{m.group(2)}_{m.group(3)}"] = {
-                "seconds": float(m.group(4)),
-                "engine_events": int(m.group(5)),
-                "segments_collapsed": int(m.group(6)),
-                "segments_total": int(m.group(7)),
-                "path": m.group(8),
-            }
-            continue
-        m = re.match(
-            r"hybrid_speedup bench=(\w+) n=(\d+) speedup=([0-9.]+)x", line)
-        if m:
-            hybrid_speedups[f"{m.group(1)}_n{m.group(2)}"] = float(m.group(3))
-
-# Serve harness: "serve_qps clients=N batch=B qps=... p50_us=... p99_us=..."
-# rows from the warm-cache daemon load generator (bench/abl_serve_qps).
-serve = {}
-with open(serve_log) as f:
-    for line in f:
-        m = re.match(
-            r"serve_qps clients=(\d+) batch=(\d+) qps=([0-9.]+)"
-            r" p50_us=([0-9.]+) p99_us=([0-9.]+)", line)
-        if m:
-            serve[f"serve_qps_clients_{m.group(1)}"] = {
-                "batch": int(m.group(2)),
-                "qps": float(m.group(3)),
-                "p50_us": float(m.group(4)),
-                "p99_us": float(m.group(5)),
-            }
-
-# Pattern-fit harness: "pattern_fit bench=... composed_err_pct=...
-# amdahl_err_pct=... band_hits=..." held-out accuracy rows
-# (bench/abl_pattern_fit).
-pattern = {}
-with open(pattern_log) as f:
-    for line in f:
-        m = re.match(
-            r"pattern_fit bench=(\w+) regions=(\d+)"
-            r" composed_err_pct=([0-9.]+) amdahl_err_pct=([0-9.]+)"
-            r" band_hits=(\d+) band_total=(\d+)", line)
-        if m:
-            pattern[f"pattern_fit_{m.group(1)}"] = {
-                "regions": int(m.group(2)),
-                "composed_err_pct": float(m.group(3)),
-                "amdahl_err_pct": float(m.group(4)),
-                "band_hits": int(m.group(5)),
-                "band_total": int(m.group(6)),
-            }
-
-# Region-sampling harness: per-cell "region_sampling ..." rows and the
-# within-run "sampling_speedup ..." ratios (sampled Auto vs full-analytic
-# Hybrid on the SAME translated trace) (bench/abl_region_sampling).
-sampling = {}
-sampling_speedups = {}
-with open(sampling_log) as f:
-    for line in f:
-        m = re.match(
-            r"region_sampling bench=(\w+) epochs=(\d+) mode=(\w+)"
-            r" sim_s=([0-9.]+) classes=(\d+) simulated=(\d+) replayed=(\d+)"
-            r" predicted_ns=(\d+)",
-            line)
-        if m:
-            sampling[f"sampling_{m.group(1)}_e{m.group(2)}_{m.group(3)}"] = {
-                "epochs": int(m.group(2)),
-                "seconds": float(m.group(4)),
-                "classes": int(m.group(5)),
-                "epochs_simulated": int(m.group(6)),
-                "epochs_replayed": int(m.group(7)),
-                "predicted_ns": int(m.group(8)),
-            }
-            continue
-        m = re.match(
-            r"sampling_speedup bench=(\w+) epochs=(\d+) speedup=([0-9.]+)x",
-            line)
-        if m:
-            sampling_speedups[f"{m.group(1)}_e{m.group(2)}"] = \
-                float(m.group(3))
-
 out = {
     "schema": "xp-bench-sim/7",
-    "hw_concurrency": hw,
-    "source": ["bench/micro_engine", "bench/abl_sweep_scaling",
-               "bench/abl_serve_qps", "bench/abl_hybrid_scaling",
-               "bench/abl_pattern_fit", "bench/abl_region_sampling"],
+    "hw_concurrency": 0,  # filled in by abl_sweep_scaling's line
+    "source": ["bench/" + name for name in ["micro_engine"] + harnesses],
     "note": "items_per_second is best-of-5 repetitions; "
             "see scripts/bench_json.sh for methodology",
     "benchmarks": dict(sorted(best.items())),
-    "sweep": sweep,
-    "serve": serve,
-    "hybrid": hybrid,
-    "hybrid_speedup_vs_event": hybrid_speedups,
-    "pattern": pattern,
-    "sampling": sampling,
-    "sampling_speedup_vs_hybrid": sampling_speedups,
 }
+# Each harness's last stdout line is its sections of this file.
+for name in harnesses:
+    with open(os.path.join(out_dir, name + ".out")) as f:
+        out.update(json.loads(f.read().splitlines()[-1]))
 
 # Embed the committed pre-overhaul numbers (measured with the identical
 # pinned-malloc harness — see BENCH_sim.baseline.json) and the resulting
@@ -276,196 +125,32 @@ except FileNotFoundError:
 with open("BENCH_sim.json", "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
-print("wrote BENCH_sim.json "
-      f"({len(best)} micro benchmarks, {len(sweep)} sweep rows, "
-      f"{len(serve)} serve rows, {len(hybrid)} hybrid rows, "
-      f"{len(pattern)} pattern rows, {len(sampling)} sampling rows)")
+print(f"wrote BENCH_sim.json ({len(best)} micro benchmarks; " + ", ".join(
+    f"{len(rows)} {key} rows" for key, rows in out.items()
+    if key in ("sweep", "serve", "hybrid", "pattern", "sampling")) + ")")
 
-# --- Regression gates -------------------------------------------------
-# Both gates always run (a fiber pass must not short-circuit the sweep
-# check); the script exits nonzero if ANY gate fails.  XP_BENCH_NO_GATE=1
-# disables them all for exploratory runs.
-import os
-if os.environ.get("XP_BENCH_NO_GATE"):
-    print("gates: skipped (XP_BENCH_NO_GATE set)")
-    sys.exit(0)
-failed = False
-
-# Gate 1: fcontext fiber backend.  Primary check: the within-run ratio of
-# BM_FiberSwitch (process-default backend, fcontext where ported) over
-# BM_FiberSwitchUcontext must clear 2x — both numbers come from the same
-# host and run, so absolute drift from the committed baseline cannot mask
-# a backend regression.  On targets without an fcontext port both
-# benchmarks time the same backend, so the gate is skipped when the ratio
-# is ~1 AND the baseline comparison (if present) did not regress.
+# Fiber gate: the within-run ratio of BM_FiberSwitch (process-default
+# backend, fcontext where ported) over BM_FiberSwitchUcontext must clear
+# 2x — both numbers come from the same host and run, so absolute drift
+# from the committed baseline cannot mask a backend regression.  On a
+# target without an fcontext port both benchmarks time ucontext, so a
+# ratio of ~1 passes when BM_FiberSwitch holds 0.7x the baseline instead.
 fs = best.get("BM_FiberSwitch", {}).get("items_per_second")
 uc = best.get("BM_FiberSwitchUcontext", {}).get("items_per_second")
 if not fs or not uc:
     print("fiber gate: skipped (BM_FiberSwitch rows missing)")
-else:
-    ratio = fs / uc
-    if ratio >= 2.0:
-        print(f"fiber gate: OK (fcontext {ratio:.1f}x ucontext within-run)")
-    else:
-        ok = False
-        if ratio >= 0.85:
-            # Same-backend build (no fcontext port, or XP_FIBER_UCONTEXT
-            # default): fall back to the committed baseline to catch
-            # absolute regressions.
-            base = out.get("baseline", {}).get("benchmarks", {}).get(
-                "BM_FiberSwitch", {}).get("items_per_second")
-            if base and fs >= 0.7 * base:
-                print(f"fiber gate: OK (single-backend build, {fs:.3g} "
-                      f"items/s vs baseline {base:.3g})")
-                ok = True
-        if not ok:
-            print(f"fiber gate: FAIL — BM_FiberSwitch is {ratio:.2f}x "
-                  "BM_FiberSwitchUcontext (need >= 2x; set "
-                  "XP_BENCH_NO_GATE=1 to override)", file=sys.stderr)
-            failed = True
-
-# Gate 2: end-to-end sweep scaling.  The work-stealing pool + sharded
-# caches must turn extra cores into wall-clock speedup WITHOUT inflating
-# the measure stage's CPU-second sum (inflation = shared-state
-# contention).  Floors are conditional on the host actually exposing the
-# cores: >= 3x at 4 workers (and measure-CPU within 1.3x of the 1-worker
-# run) when hw >= 4, additionally >= 5x at 8 workers when hw >= 8.
-# Within-run ratios, so host-speed drift cannot mask a regression.
-e2e1 = sweep.get("sweep_e2e_workers_1")
-e2e4 = sweep.get("sweep_e2e_workers_4")
-e2e8 = sweep.get("sweep_e2e_workers_8")
-if not e2e1 or not e2e4 or not e2e8:
-    print("sweep gate: FAIL — e2e rows missing from abl_sweep_scaling "
-          "output (format drift?)", file=sys.stderr)
-    failed = True
-elif hw < 4:
-    print(f"sweep gate: skipped (host exposes {hw} CPU(s); the speedup "
-          "floors need >= 4)")
-else:
-    sp4 = e2e4["speedup_vs_sequential"]
-    cpu_ratio = (e2e4["measure_cpu_seconds"] /
-                 e2e1["measure_cpu_seconds"]
-                 if e2e1["measure_cpu_seconds"] > 0 else 1.0)
-    if sp4 < 3.0:
-        print(f"sweep gate: FAIL — e2e speedup at 4 workers is {sp4:.2f}x "
-              "(need >= 3x; set XP_BENCH_NO_GATE=1 to override)",
-              file=sys.stderr)
-        failed = True
-    elif cpu_ratio > 1.3:
-        print("sweep gate: FAIL — measure-stage CPU-seconds at 4 workers "
-              f"are {cpu_ratio:.2f}x the 1-worker run (need <= 1.3x: the "
-              "measure stage is contending on shared state)",
-              file=sys.stderr)
-        failed = True
-    else:
-        print(f"sweep gate: OK at 4 workers ({sp4:.2f}x e2e, measure CPU "
-              f"{cpu_ratio:.2f}x sequential)")
-    if hw >= 8:
-        sp8 = e2e8["speedup_vs_sequential"]
-        if sp8 < 5.0:
-            print(f"sweep gate: FAIL — e2e speedup at 8 workers is "
-                  f"{sp8:.2f}x (need >= 5x)", file=sys.stderr)
-            failed = True
-        else:
-            print(f"sweep gate: OK at 8 workers ({sp8:.2f}x e2e)")
-    else:
-        print(f"sweep gate: 8-worker floor skipped (host exposes {hw} "
-              "CPU(s))")
-
-# Gate 3: serve warm-cache latency/throughput.  A served what-if query is
-# one protocol round-trip plus one simulation of an already-translated
-# trace, so even a single client over a unix socket must clear 1k QPS on
-# the golden grid_n4 fixture; falling below means the daemon added real
-# per-query overhead (framing copies, lock contention, pool stalls).
-# Host-independent-ish floor: the fixture simulation itself is ~30 us.
-if not serve:
-    print("serve gate: FAIL — serve_qps rows missing from abl_serve_qps "
-          "output (format drift?)", file=sys.stderr)
-    failed = True
-else:
-    peak = max(row["qps"] for row in serve.values())
-    if peak < 1000.0:
-        print(f"serve gate: FAIL — peak warm-cache throughput is "
-              f"{peak:.0f} QPS (need >= 1000; set XP_BENCH_NO_GATE=1 to "
-              "override)", file=sys.stderr)
-        failed = True
-    else:
-        worst_p99 = max(row["p99_us"] for row in serve.values())
-        print(f"serve gate: OK (peak {peak:.0f} QPS, worst p99 "
-              f"{worst_p99:.0f} us)")
-
-# Gate 4: hybrid analytic collapse.  On the single-cluster shared-memory
-# target the hybrid simulator must beat event-driven replay by >= 10x at
-# n=1024 on both Grid and Cyclic — a within-run ratio from one binary, so
-# host-speed drift cannot mask a regression.  (The same harness also holds
-# the two modes bitwise-equal; a mismatch fails its shape checks.)
-missing = [k for k in ("grid_n1024", "cyclic_n1024")
-           if k not in hybrid_speedups]
-if missing:
-    print("hybrid gate: FAIL — speedup rows missing from "
-          f"abl_hybrid_scaling output: {missing} (format drift?)",
-          file=sys.stderr)
-    failed = True
-else:
-    bad = {k: v for k, v in hybrid_speedups.items()
-           if k.endswith("_n1024") and v < 10.0}
-    if bad:
-        print(f"hybrid gate: FAIL — hybrid speedup below 10x at n=1024: "
-              f"{bad} (set XP_BENCH_NO_GATE=1 to override)", file=sys.stderr)
-        failed = True
-    else:
-        g = hybrid_speedups["grid_n1024"]
-        c = hybrid_speedups["cyclic_n1024"]
-        print(f"hybrid gate: OK (grid {g:.1f}x, cyclic {c:.1f}x "
-              "event-driven at n=1024)")
-
-# Gate 5: composed pattern-model accuracy.  A per-pattern PMNF sum fitted
-# on n <= 8 must extrapolate the held-out counts {12, 16} at least as well
-# as the flat Amdahl baseline on >= 2 of the 3 pattern benchmarks — the
-# compositional model's reason to exist.  Held-out error is a within-run
-# comparison against the same sweep's direct simulation, so host-speed
-# drift cannot mask a regression.
-if len(pattern) < 3:
-    print("pattern gate: FAIL — pattern_fit rows missing from "
-          "abl_pattern_fit output (format drift?)", file=sys.stderr)
-    failed = True
-else:
-    pat_wins = sum(1 for row in pattern.values()
-                   if row["composed_err_pct"] <= row["amdahl_err_pct"])
-    if pat_wins < 2:
-        print(f"pattern gate: FAIL — composed model beats flat Amdahl on "
-              f"only {pat_wins}/{len(pattern)} pattern benches (need >= 2; "
-              "set XP_BENCH_NO_GATE=1 to override)", file=sys.stderr)
-        failed = True
-    else:
-        worst = max(row["composed_err_pct"] for row in pattern.values())
-        print(f"pattern gate: OK (composed wins {pat_wins}/{len(pattern)}, "
-              f"worst held-out error {worst:.1f}%)")
-
-# Gate 6: representative-epoch sampling.  On the 1000-iteration Grid trace
-# (>= 1000 epochs, ~3 distinct classes) the sampled Auto path must beat the
-# full-analytic Hybrid replay of the SAME translated trace by >= 10x
-# simulate-stage wall time — a within-run ratio, so host-speed drift cannot
-# mask a regression.  (The harness itself also holds the dedup predictions
-# bitwise-equal to full simulation; a mismatch fails its shape checks.)
-long_keys = [k for k, row in sampling_speedups.items()
-             if int(k.rsplit("_e", 1)[1]) >= 1000]
-if not long_keys:
-    print("sampling gate: FAIL — no >= 1000-epoch speedup row in "
-          "abl_region_sampling output (format drift?)", file=sys.stderr)
-    failed = True
-else:
-    bad = {k: sampling_speedups[k] for k in long_keys
-           if sampling_speedups[k] < 10.0}
-    if bad:
-        print(f"sampling gate: FAIL — sampled speedup below 10x at >= 1000 "
-              f"epochs: {bad} (set XP_BENCH_NO_GATE=1 to override)",
-              file=sys.stderr)
-        failed = True
-    else:
-        peak = max(sampling_speedups[k] for k in long_keys)
-        print(f"sampling gate: OK ({peak:.1f}x full-analytic at >= 1000 "
-              f"epochs)")
-
-sys.exit(1 if failed else 0)
+    sys.exit(0)
+ratio = fs / uc
+if ratio >= 2.0:
+    print(f"fiber gate: OK (fcontext {ratio:.1f}x ucontext within-run)")
+    sys.exit(0)
+base = out.get("baseline", {}).get("benchmarks", {}).get(
+    "BM_FiberSwitch", {}).get("items_per_second")
+if ratio >= 0.85 and base and fs >= 0.7 * base:
+    print(f"fiber gate: OK (single-backend build, {fs:.3g} items/s vs "
+          f"baseline {base:.3g})")
+    sys.exit(0)
+print(f"fiber gate: FAIL — BM_FiberSwitch is {ratio:.2f}x "
+      "BM_FiberSwitchUcontext (need >= 2x)", file=sys.stderr)
+sys.exit(1)
 PY

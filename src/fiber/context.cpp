@@ -25,11 +25,7 @@ const char* to_string(Backend b) {
 namespace {
 
 constexpr Backend build_default() {
-#if defined(XP_FIBER_UCONTEXT)
-  return Backend::Ucontext;
-#else
   return fcontext_supported() ? Backend::Fcontext : Backend::Ucontext;
-#endif
 }
 
 std::atomic<Backend> g_default{build_default()};

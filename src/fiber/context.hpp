@@ -8,9 +8,8 @@
 //    ~10x faster than ucontext per switch; the default where supported.
 //  * Ucontext — the portable getcontext/makecontext/swapcontext path the
 //    repository started with.  Kept as the fallback for targets without an
-//    assembly port (CMake -DXP_FIBER_UCONTEXT=ON forces it as the default)
-//    and as the differential-test oracle: both backends must produce
-//    bitwise-identical traces on the full benchmark suite
+//    assembly port and as the differential-test oracle: both backends must
+//    produce bitwise-identical traces on the full benchmark suite
 //    (tests/fiber_test.cpp), since the virtual clock, not the switch
 //    mechanism, drives all timestamps.
 //
@@ -41,15 +40,28 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
-// ASan models the thread stack and would need start/finish_switch_fiber
-// annotations around every swap; rather than carry that state, ASan builds
-// default to the (intercepted) ucontext backend.
+// ASan tracks one stack per thread; without being told about a switch it
+// mistakes fiber frames for stale thread-stack frames (a throw on a fiber
+// stack then reports stack-use-after-scope).  Both backends announce every
+// switch through the helpers below, which compile to nothing elsewhere.
 #if defined(__SANITIZE_ADDRESS__)
 #define XP_ASAN_BUILD 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define XP_ASAN_BUILD 1
 #endif
+#endif
+
+#if defined(XP_ASAN_BUILD)
+extern "C" {
+void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom,
+                                    std::size_t size);
+void __sanitizer_finish_switch_fiber(void* fake_stack_save,
+                                     const void** bottom_old,
+                                     std::size_t* size_old);
+void __asan_unpoison_memory_region(const volatile void* addr,
+                                   std::size_t size);
+}
 #endif
 
 extern "C" {
@@ -71,16 +83,15 @@ const char* to_string(Backend b);
 
 /// True when fiber/fcontext.S has a port for this target.
 constexpr bool fcontext_supported() {
-#if (defined(__x86_64__) || defined(__aarch64__)) && defined(__ELF__) && \
-    !defined(XP_ASAN_BUILD)
+#if (defined(__x86_64__) || defined(__aarch64__)) && defined(__ELF__)
   return true;
 #else
   return false;
 #endif
 }
 
-/// The backend Auto resolves to: Fcontext where supported unless the build
-/// (-DXP_FIBER_UCONTEXT=ON) or set_default_backend() says otherwise.
+/// The backend Auto resolves to: Fcontext where supported unless
+/// set_default_backend() says otherwise.
 Backend default_backend();
 
 /// Override the process-wide default (Auto restores the build default).
@@ -96,5 +107,37 @@ Backend resolve_backend(Backend b);
 /// (`entry` must never return; a guard slot aborts loudly if it does).
 /// Returns the stack-pointer value to hand to xp_fcontext_swap.
 void* make_fcontext_frame(void* stack_top, void (*entry)());
+
+/// ASan switch announcements (no-ops outside ASan builds).  Call
+/// asan_start_switch just before switching onto the stack [bottom,
+/// bottom + size) and asan_finish_switch as the first thing after control
+/// arrives on a stack; `fake_stack` carries ASan's per-context state
+/// across the pair, and a null `fake_stack` on start means the context
+/// being left never runs again.  The old stack's bounds come back through
+/// `bottom_old`/`size_old` when requested.
+inline void asan_start_switch([[maybe_unused]] void** fake_stack,
+                              [[maybe_unused]] const void* bottom,
+                              [[maybe_unused]] std::size_t size) {
+#if defined(XP_ASAN_BUILD)
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+#endif
+}
+
+inline void asan_finish_switch([[maybe_unused]] void* fake_stack,
+                               [[maybe_unused]] const void** bottom_old,
+                               [[maybe_unused]] std::size_t* size_old) {
+#if defined(XP_ASAN_BUILD)
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+#endif
+}
+
+/// Clear stale ASan poison (frames of the stack's previous fiber) from a
+/// reused stack before a new fiber starts on it.
+inline void asan_unpoison_stack([[maybe_unused]] const void* bottom,
+                                [[maybe_unused]] std::size_t size) {
+#if defined(XP_ASAN_BUILD)
+  __asan_unpoison_memory_region(bottom, size);
+#endif
+}
 
 }  // namespace xp::fiber

@@ -57,6 +57,14 @@ class Fiber {
   /// sanitizer fiber.  Idempotent.
   void release_context();
 
+  /// The stack the fiber runs on, [stack_bottom(), + stack_size()).
+  const void* stack_bottom() const {
+    return stack_ ? stack_.top - stack_.usable : ustack_.get();
+  }
+  std::size_t stack_size() const {
+    return stack_ ? stack_.usable : stack_bytes_;
+  }
+
   int id_;
   Backend backend_;
   FiberState state_ = FiberState::Ready;
@@ -76,6 +84,7 @@ class Fiber {
   bool started_ = false;
   std::exception_ptr error_;
   void* tsan_fiber_ = nullptr;
+  void* asan_fake_stack_ = nullptr;  ///< ASan state while switched out
 };
 
 }  // namespace xp::fiber

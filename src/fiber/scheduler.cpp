@@ -35,6 +35,8 @@ FiberState Scheduler::state_of(int id) const {
 
 void Scheduler::trampoline() {
   Scheduler* sched = launching_;
+  asan_finish_switch(nullptr, &sched->main_stack_bottom_,
+                     &sched->main_stack_size_);
   Fiber& self = *sched->fibers_[static_cast<std::size_t>(sched->current_)];
   try {
     self.body_();
@@ -48,33 +50,38 @@ void Scheduler::trampoline() {
 void Scheduler::switch_to(Fiber& f) {
   current_ = f.id();
   f.state_ = FiberState::Running;
-  if (backend_ == Backend::Fcontext) {
-    if (!f.started_) {
-      f.started_ = true;
+  const bool fcontext = backend_ == Backend::Fcontext;
+  if (!f.started_) {
+    f.started_ = true;
+    launching_ = this;
+    if (fcontext) {
       f.stack_ = stack_acquire(f.stack_bytes_);
+      // A pooled stack still carries the poison of its last fiber's frames.
+      asan_unpoison_stack(f.stack_bottom(), f.stack_size());
       f.sp_ = make_fcontext_frame(f.stack_.top, &Scheduler::trampoline);
 #if defined(XP_TSAN_FIBERS)
       f.tsan_fiber_ = __tsan_create_fiber(0);
 #endif
-      launching_ = this;
+    } else {
+      XP_CHECK(getcontext(&f.ctx_) == 0, "getcontext failed");
+      f.ctx_.uc_stack.ss_sp = f.ustack_.get();
+      f.ctx_.uc_stack.ss_size = f.stack_bytes_;
+      f.ctx_.uc_link = &main_ctx_;  // safety net; normal exit goes via trampoline
+      makecontext(&f.ctx_, &Scheduler::trampoline, 0);
     }
+  }
+  void* fake_stack = nullptr;
+  asan_start_switch(&fake_stack, f.stack_bottom(), f.stack_size());
+  if (fcontext) {
 #if defined(XP_TSAN_FIBERS)
     if (!main_tsan_fiber_) main_tsan_fiber_ = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(f.tsan_fiber_, 0);
 #endif
     xp_fcontext_swap(&main_sp_, f.sp_);
   } else {
-    if (!f.started_) {
-      f.started_ = true;
-      XP_CHECK(getcontext(&f.ctx_) == 0, "getcontext failed");
-      f.ctx_.uc_stack.ss_sp = f.ustack_.get();
-      f.ctx_.uc_stack.ss_size = f.stack_bytes_;
-      f.ctx_.uc_link = &main_ctx_;  // safety net; normal exit goes via trampoline
-      makecontext(&f.ctx_, &Scheduler::trampoline, 0);
-      launching_ = this;
-    }
     XP_CHECK(swapcontext(&main_ctx_, &f.ctx_) == 0, "swapcontext failed");
   }
+  asan_finish_switch(fake_stack, nullptr, nullptr);
   current_ = -1;
   // A Finished fiber can never run again; hand its stack back to the pool
   // immediately so the next spawned fiber reuses it.
@@ -89,6 +96,10 @@ void Scheduler::switch_to(Fiber& f) {
 void Scheduler::return_to_scheduler(FiberState new_state) {
   Fiber& self = *fibers_[static_cast<std::size_t>(current_)];
   self.state_ = new_state;
+  // A finished fiber never resumes, so ASan may drop its fake stack.
+  asan_start_switch(
+      new_state == FiberState::Finished ? nullptr : &self.asan_fake_stack_,
+      main_stack_bottom_, main_stack_size_);
   if (backend_ == Backend::Fcontext) {
 #if defined(XP_TSAN_FIBERS)
     __tsan_switch_to_fiber(main_tsan_fiber_, 0);
@@ -97,6 +108,7 @@ void Scheduler::return_to_scheduler(FiberState new_state) {
   } else {
     XP_CHECK(swapcontext(&self.ctx_, &main_ctx_) == 0, "swapcontext failed");
   }
+  asan_finish_switch(self.asan_fake_stack_, nullptr, nullptr);
 }
 
 void Scheduler::run() {

@@ -207,12 +207,11 @@ QueryResult Service::run_query_on(Source& src, const Query& q) {
 
 QueryResult Service::run_query(std::uint64_t session, const Query& q) {
   const auto src = session_source(session);
-  if (!src) {
-    QueryResult res;
+  QueryResult res;
+  if (src)
+    res = run_query_on(*src, q);
+  else
     res.error = "unknown session " + std::to_string(session);
-    return res;
-  }
-  QueryResult res = run_query_on(*src, q);
   (res.ok ? queries_ok_ : queries_err_).fetch_add(1);
   return res;
 }
@@ -293,13 +292,11 @@ PatternModelResult Service::run_pattern_model_on(Source& src,
 PatternModelResult Service::run_pattern_model(std::uint64_t session,
                                               const PatternQuery& q) {
   const auto src = session_source(session);
-  if (!src) {
-    PatternModelResult res;
+  PatternModelResult res;
+  if (src)
+    res = run_pattern_model_on(*src, q);
+  else
     res.error = "unknown session " + std::to_string(session);
-    queries_err_.fetch_add(1);
-    return res;
-  }
-  PatternModelResult res = run_pattern_model_on(*src, q);
   (res.ok ? queries_ok_ : queries_err_).fetch_add(1);
   return res;
 }

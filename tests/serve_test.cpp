@@ -260,6 +260,8 @@ TEST(ServeService, TraceSessionAnswersQueries) {
 TEST(ServeService, UnknownSessionAndBadQueriesReportErrors) {
   Service svc;
   EXPECT_FALSE(svc.run_query(999, distributed_query(4)).ok);
+  EXPECT_EQ(svc.stats().queries_err, 1u);
+  EXPECT_EQ(svc.stats().queries_ok, 0u);
 
   const auto session = svc.open_trace_session(load_golden());
   // The golden trace is a 4-thread measurement; 8 procs cannot be served.
@@ -372,8 +374,9 @@ TEST(ServeService, PatternModelFitsBenchSessions) {
 TEST(ServeService, PatternModelReportsErrorsInTheResult) {
   Service svc(pattern_service_options());
 
-  // Unknown session.
+  // Unknown session: counted as a failed query, like run_query's.
   EXPECT_FALSE(svc.run_pattern_model(999, distributed_pattern_query()).ok);
+  EXPECT_EQ(svc.stats().queries_err, 1u);
 
   // Trace sessions cannot be swept to new thread counts.
   const auto trace_session = svc.open_trace_session(load_golden());

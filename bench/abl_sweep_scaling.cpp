@@ -4,11 +4,10 @@
 //
 //  1. Warm cache: once the per-thread-count traces are measured and
 //     translated, the simulations of a what-if grid are independent and
-//     fan out across the work-stealing pool with near-linear speedup.
-//  2. Cold cache: the pre-warm stage fans the (measure -> translate ->
-//     compile) jobs of all distinct thread counts across the same pool,
-//     so END-TO-END sweeps scale too — previously the measurements ran
-//     sequentially on the caller thread and flattened the curve.
+//     fan out across the pool with near-linear speedup.
+//  2. Cold cache: the (measure -> translate -> compile) jobs of all
+//     distinct thread counts run on the same pool, each releasing its own
+//     cells as soon as its trace is ready, so END-TO-END sweeps scale too.
 //
 // Both sections time the SAME 60-point grid (6 machine parameter sets x
 // 10 processor counts, sized to run >= 1 s single-threaded so parallelism
@@ -26,6 +25,7 @@
 
 #include "core/sweep.hpp"
 #include "common.hpp"
+#include "metrics/sweep_report.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace xp;
@@ -126,10 +126,10 @@ int main() {
 
   // Cold cache: a fresh runner with a ProgramFactory, so every run pays
   // the full measure -> translate -> compile -> simulate pipeline.  The
-  // pre-warm stage fans the 10 distinct measurements over the pool.
+  // 10 distinct measurements fan over the pool, each launching its cells.
   // Stage columns: CPU-second sums for measure/translate/simulate (work
   // done — inflation vs the 1-worker row is contention), then the wall
-  // clock of the pre-warm and simulate stages.
+  // clock up to the last pre-warm job's end and after it.
   const int e2e_reps = 2;  // measurements dominate; two reps bound the noise
   std::map<int, double> e2e_best_s;
   std::map<int, core::SweepStages> e2e_stages;
@@ -143,6 +143,7 @@ int main() {
   for (int workers : worker_counts) {
     double best = 1e30;
     core::SweepStages stages;
+    metrics::SweepPaths paths;
     std::string fp;
     for (int r = 0; r < e2e_reps; ++r) {
       core::SweepOptions opt;
@@ -155,6 +156,7 @@ int main() {
       if (s < best) {
         best = s;
         stages = result.stages;
+        paths = metrics::sweep_paths(result);
       }
       fp = fingerprint(result);
     }
@@ -182,13 +184,12 @@ int main() {
                  .num("prewarm_wall_seconds", stages.prewarm_wall_s, 3)
                  .num("simulate_wall_seconds", stages.simulate_wall_s, 3)
                  .num("speedup_vs_sequential", e2e_seq_best / best, 2)
-                 .count("cells_event", stages.cells_event)
-                 .count("cells_hybrid", stages.cells_hybrid)
-                 .count("sim_events_fired", stages.sim_events_fired)
-                 .count("sim_segments_collapsed",
-                        stages.sim_segments_collapsed)
-                 .count("sim_segments_total", stages.sim_segments_total)
-                 .count("sim_ops_collapsed", stages.sim_ops_collapsed));
+                 .count("cells_event", paths.cells_event)
+                 .count("cells_hybrid", paths.cells_hybrid)
+                 .count("sim_events_fired", paths.sim_events_fired)
+                 .count("sim_segments_collapsed", paths.sim_segments_collapsed)
+                 .count("sim_segments_total", paths.sim_segments_total)
+                 .count("sim_ops_collapsed", paths.sim_ops_collapsed));
   }
 
   // Within-run ratios, so host-speed drift cannot mask a regression; the

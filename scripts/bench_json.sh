@@ -89,7 +89,7 @@ for b in data.get("benchmarks", []):
         entry.get("ns_per_iteration", float("inf")), b["real_time"])
 
 out = {
-    "schema": "xp-bench-sim/7",
+    "schema": "xp-bench-sim/8",
     "hw_concurrency": 0,  # filled in by abl_sweep_scaling's line
     "source": ["bench/" + name for name in ["micro_engine"] + harnesses],
     "note": "items_per_second is best-of-5 repetitions; "
@@ -101,27 +101,6 @@ for name in harnesses:
     with open(os.path.join(out_dir, name + ".out")) as f:
         out.update(json.loads(f.read().splitlines()[-1]))
 
-# Embed the committed pre-overhaul numbers (measured with the identical
-# pinned-malloc harness — see BENCH_sim.baseline.json) and the resulting
-# speedups, so the file tells the before/after story on its own.
-try:
-    with open("BENCH_sim.baseline.json") as f:
-        baseline = json.load(f)
-    out["baseline"] = baseline
-    speedups = {}
-    for name, b in baseline.get("benchmarks", {}).items():
-        cur = best.get(name)
-        if not cur:
-            continue
-        if "items_per_second" in b and "items_per_second" in cur:
-            speedups[name] = round(
-                cur["items_per_second"] / b["items_per_second"], 2)
-        elif "ns_per_iteration" in b and "ns_per_iteration" in cur:
-            speedups[name] = round(
-                b["ns_per_iteration"] / cur["ns_per_iteration"], 2)
-    out["speedup_vs_baseline"] = speedups
-except FileNotFoundError:
-    pass
 with open("BENCH_sim.json", "w") as f:
     json.dump(out, f, indent=2)
     f.write("\n")
@@ -134,7 +113,8 @@ print(f"wrote BENCH_sim.json ({len(best)} micro benchmarks; " + ", ".join(
 # 2x — both numbers come from the same host and run, so absolute drift
 # from the committed baseline cannot mask a backend regression.  On a
 # target without an fcontext port both benchmarks time ucontext, so a
-# ratio of ~1 passes when BM_FiberSwitch holds 0.7x the baseline instead.
+# ratio of ~1 passes when BM_FiberSwitch holds 0.7x the committed
+# BENCH_sim.baseline.json row instead.
 fs = best.get("BM_FiberSwitch", {}).get("items_per_second")
 uc = best.get("BM_FiberSwitchUcontext", {}).get("items_per_second")
 if not fs or not uc:
@@ -144,8 +124,12 @@ ratio = fs / uc
 if ratio >= 2.0:
     print(f"fiber gate: OK (fcontext {ratio:.1f}x ucontext within-run)")
     sys.exit(0)
-base = out.get("baseline", {}).get("benchmarks", {}).get(
-    "BM_FiberSwitch", {}).get("items_per_second")
+try:
+    with open("BENCH_sim.baseline.json") as f:
+        base = json.load(f).get("benchmarks", {}).get(
+            "BM_FiberSwitch", {}).get("items_per_second")
+except FileNotFoundError:
+    base = None
 if ratio >= 0.85 and base and fs >= 0.7 * base:
     print(f"fiber gate: OK (single-backend build, {fs:.3g} items/s vs "
           f"baseline {base:.3g})")

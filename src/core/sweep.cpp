@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <utility>
 
 #include "util/error.hpp"
@@ -269,77 +270,6 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     };
   };
 
-  const int n_workers =
-      opt_.n_workers > 0 ? opt_.n_workers : util::ThreadPool::default_workers();
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  const auto keep_first_error = [&] {
-    std::lock_guard<std::mutex> lock(err_mu);
-    if (!first_error) first_error = std::current_exception();
-  };
-
-  util::ThreadPool pool(n_workers);
-
-  // Pre-warm: one (measure -> translate -> compile) job per distinct thread
-  // count, fanned across the pool before any cell simulates.  Submitted
-  // with n_threads as the LPT cost hint: measurement cost grows with n, so
-  // the pool starts the big ones earliest, minimizing the stage's makespan.
-  struct PrewarmJob {
-    TranslateKey key;
-    std::size_t first_grid_index = 0;  ///< first cell using this key
-    std::shared_ptr<const TranslatedTrace> result;
-    double measure_cpu_s = 0;
-    double total_cpu_s = 0;
-  };
-  std::vector<PrewarmJob> jobs;
-  std::unordered_map<TranslateKey, std::size_t, TranslateKeyHash> job_of_key;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    TranslateKey key;
-    key.n_threads = grid[i].n_threads;
-    key.topt = opt_.translate;
-    if (job_of_key.emplace(key, jobs.size()).second)
-      jobs.push_back(PrewarmJob{key, i, nullptr, 0, 0});
-  }
-
-  const auto prewarm0 = Clock::now();
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    pool.submit(
-        [&, j] {
-          PrewarmJob& job = jobs[j];
-          const double cpu0 = util::thread_cpu_seconds();
-          try {
-            job.result = cache_->get_or_prepare(
-                job.key, measure_fn(&job.measure_cpu_s));
-          } catch (...) {
-            keep_first_error();
-          }
-          job.total_cpu_s = util::thread_cpu_seconds() - cpu0;
-        },
-        static_cast<double>(jobs[j].key.n_threads));
-  }
-  pool.wait();
-  out.stages.prewarm_wall_s = secs(Clock::now() - prewarm0);
-  for (const PrewarmJob& job : jobs) {
-    out.stages.measure_cpu_s += job.measure_cpu_s;
-    out.stages.translate_cpu_s += job.total_cpu_s - job.measure_cpu_s;
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  // Resolve each cell's trace.  The first cell of every key consumes its
-  // pre-warm result directly; duplicates go through the cache (and count as
-  // hits), preserving the pre-pre-warm accounting: hits + misses over a
-  // sweep always equals the grid size.
-  std::vector<std::shared_ptr<const TranslatedTrace>> prepared(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    TranslateKey key;
-    key.n_threads = grid[i].n_threads;
-    key.topt = opt_.translate;
-    const PrewarmJob& job = jobs[job_of_key.at(key)];
-    prepared[i] = job.first_grid_index == i
-                      ? job.result
-                      : cache_->get_or_prepare(key, measure_fn(nullptr));
-  }
-
   std::vector<std::size_t> order = opt_.submit_order;
   if (order.empty()) {
     order.resize(grid.size());
@@ -355,61 +285,108 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     }
   }
 
-  // Fan the simulations out on the same pool, biggest cells first (LPT on
-  // the cell's translated event count x thread count — simulation cost is
-  // linear in replayed events).  Each task writes only its own grid slot,
-  // so completion order is irrelevant to the result; the first exception is
-  // kept and rethrown once the batch has drained.
-  std::vector<double> sim_cpu(grid.size(), 0.0);
-  const auto sim_cost = [&](std::size_t i) {
-    double events = 0;
-    for (const trace::Trace& t : prepared[i]->translated)
-      events += static_cast<double>(t.size());
-    return events;
+  // One pre-warm (measure -> translate -> compile) job per distinct thread
+  // count, each owning its key's cells in submit order.
+  struct PrewarmJob {
+    TranslateKey key;
+    std::vector<std::size_t> cells;
+    double measure_cpu_s = 0;
+    double total_cpu_s = 0;
   };
-  const auto sim0 = Clock::now();
+  std::vector<PrewarmJob> jobs;
+  std::unordered_map<TranslateKey, std::size_t, TranslateKeyHash> job_of_key;
   for (std::size_t i : order) {
+    TranslateKey key;
+    key.n_threads = grid[i].n_threads;
+    key.topt = opt_.translate;
+    const auto [it, fresh] = job_of_key.emplace(key, jobs.size());
+    if (fresh) jobs.push_back(PrewarmJob{key, {}, 0, 0});
+    jobs[it->second].cells.push_back(i);
+  }
+  // Measurement cost grows with n: submitted largest first at equal
+  // (infinite) rank, the biggest measurement starts earliest.
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [](const PrewarmJob& a, const PrewarmJob& b) {
+                     return a.key.n_threads > b.key.n_threads;
+                   });
+
+  const int n_workers =
+      opt_.n_workers > 0 ? opt_.n_workers : util::ThreadPool::default_workers();
+  std::mutex err_mu;
+  std::exception_ptr first_error;
+  const auto keep_first_error = [&] {
+    std::lock_guard<std::mutex> lock(err_mu);
+    if (!first_error) first_error = std::current_exception();
+  };
+  std::vector<double> sim_cpu(grid.size(), 0.0);
+  std::atomic<std::size_t> prewarm_left{jobs.size()};
+  Clock::time_point prewarm_end;
+
+  util::ThreadPool pool(n_workers);
+
+  // A cell simulates one grid point on its key's prepared trace and writes
+  // only its own grid slot, so completion order is irrelevant to the
+  // result; the first exception is kept and rethrown once the pool drains.
+  const auto cell = [&](std::size_t i,
+                        std::shared_ptr<const TranslatedTrace> tt) {
+    return [&, i, tt = std::move(tt)] {
+      const double cpu0 = util::thread_cpu_seconds();
+      try {
+        SimOptions sopts;
+        sopts.emit_trace = opt_.emit_traces;
+        out.predictions[i] = predict(*tt, grid[i].params, sopts);
+      } catch (...) {
+        keep_first_error();
+      }
+      sim_cpu[i] = util::thread_cpu_seconds() - cpu0;
+    };
+  };
+
+  // One stage: each pre-warm job launches its own cells the moment its
+  // trace is ready.  Pre-warm jobs outrank every cell (a cell's hint is its
+  // finite translated event count — simulation cost is linear in replayed
+  // events), so no cell starts while a measurement is still queued, and
+  // cells fill the workers the last measurements leave idle.
+  const auto sweep0 = Clock::now();
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
     pool.submit(
-        [&, i] {
+        [&, j] {
+          PrewarmJob& job = jobs[j];
           const double cpu0 = util::thread_cpu_seconds();
           try {
-            SimOptions sopts;
-            sopts.emit_trace = opt_.emit_traces;
-            out.predictions[i] = predict(*prepared[i], grid[i].params, sopts);
+            const auto tt = cache_->get_or_prepare(
+                job.key, measure_fn(&job.measure_cpu_s));
+            job.total_cpu_s = util::thread_cpu_seconds() - cpu0;
+            double events = 0;
+            for (const trace::Trace& t : tt->translated)
+              events += static_cast<double>(t.size());
+            // The first cell consumes the pre-warm result; duplicates go
+            // through the cache (as hits), so hits + misses over a sweep
+            // always equals the grid size.
+            for (std::size_t c = 0; c < job.cells.size(); ++c)
+              pool.submit(
+                  cell(job.cells[c],
+                       c == 0 ? tt
+                              : cache_->get_or_prepare(job.key,
+                                                       measure_fn(nullptr))),
+                  events);
           } catch (...) {
             keep_first_error();
           }
-          sim_cpu[i] = util::thread_cpu_seconds() - cpu0;
+          if (prewarm_left.fetch_sub(1) == 1) prewarm_end = Clock::now();
         },
-        sim_cost(i));
+        std::numeric_limits<double>::infinity());
   }
   pool.wait();
-  out.stages.simulate_wall_s = secs(Clock::now() - sim0);
+  const auto sweep1 = Clock::now();
+  out.stages.prewarm_wall_s = secs(prewarm_end - sweep0);
+  out.stages.simulate_wall_s = secs(sweep1 - prewarm_end);
+  for (const PrewarmJob& job : jobs) {
+    out.stages.measure_cpu_s += job.measure_cpu_s;
+    out.stages.translate_cpu_s += job.total_cpu_s - job.measure_cpu_s;
+  }
   for (double s : sim_cpu) out.stages.simulate_cpu_s += s;
   if (first_error) std::rethrow_exception(first_error);
-
-  // Simulate-path attribution: events fired vs segments skipped, summed
-  // over the grid so scaling rows can tell engine work from analytic work.
-  for (const Prediction& p : out.predictions) {
-    const HybridStats& h = p.sim.hybrid;
-    if (h.segments_collapsed > 0)
-      ++out.stages.cells_hybrid;
-    else
-      ++out.stages.cells_event;
-    out.stages.sim_events_fired +=
-        static_cast<std::int64_t>(p.sim.engine_events);
-    out.stages.sim_segments_collapsed += h.segments_collapsed;
-    out.stages.sim_segments_total += h.segments_total;
-    out.stages.sim_ops_collapsed += h.ops_collapsed;
-    const SamplingStats& sp = p.sim.sampling;
-    if (sp.active) {
-      ++out.stages.cells_sampled;
-      out.stages.sim_epochs_total += sp.epochs;
-      out.stages.sim_epoch_classes += sp.classes;
-      out.stages.sim_epochs_simulated += sp.epochs_simulated;
-      out.stages.sim_epochs_replayed += sp.epochs_replayed;
-    }
-  }
 
   out.cache_hits = cache_->hits() - hits0;
   out.cache_misses = cache_->misses() - misses0;

@@ -10,13 +10,13 @@
 //
 // SweepRunner exploits that split.  It measures each distinct thread count
 // ONCE, memoizes the translated traces in a TranslateCache keyed on
-// (n_threads, TranslateOptions), and fans BOTH halves out over one
-// util::ThreadPool: a pre-warm stage runs the independent
-// measure->translate->compile jobs of all distinct thread counts
-// concurrently (largest first, so the longest measurement starts earliest),
-// then the per-cell simulations fan out once their traces are ready.
-// Schedulers are strictly per-OS-thread (fiber/scheduler.hpp), so one
-// measurement per worker is safe.
+// (n_threads, TranslateOptions), and runs BOTH halves as one stage on one
+// util::ThreadPool: the measure->translate->compile jobs of all distinct
+// thread counts start first (largest first, so the longest measurement
+// starts earliest), and each one submits its own cells' simulations the
+// moment its trace is ready, so cells fill the workers that finished
+// measuring.  Schedulers are strictly per-OS-thread (fiber/scheduler.hpp),
+// so one measurement per worker is safe.
 //
 // Determinism guarantee: results land in SweepResult::predictions by GRID
 // INDEX, never by completion order, and the simulator itself is a
@@ -142,39 +142,20 @@ struct SweepPoint {
   std::string label;  ///< free-form series tag (machine name, hypothesis, …)
 };
 
-/// Per-stage timing of one sweep, for the scaling benchmarks.  Every stage
-/// reports BOTH views: *_cpu_s sums per-job thread-CPU seconds
-/// (CLOCK_THREAD_CPUTIME_ID — actual work done, immune to oversubscription
-/// and time-slicing), and *_wall_s is the elapsed wall-clock of the stage.
-/// Parallelism pays when wall shrinks while the CPU sum stays flat; a CPU
-/// sum that inflates with the worker count is real contention.  (The old
-/// per-job *wall*-time sums conflated the two: on an oversubscribed host
-/// they counted time-sliced waiting as "measurement getting slower".)
+/// Per-stage timing of one sweep, for the scaling benchmarks.  *_cpu_s
+/// sums per-job thread-CPU seconds (CLOCK_THREAD_CPUTIME_ID — actual work
+/// done, immune to oversubscription and time-slicing): parallelism pays
+/// when wall time shrinks while the CPU sums stay flat; a CPU sum that
+/// inflates with the worker count is real contention.  Measurement and
+/// simulation overlap, so the two wall clocks split the sweep's wall time
+/// at the moment the last pre-warm job completes and add up to all of it.
+/// (Path attribution is derived from the predictions: metrics::sweep_paths.)
 struct SweepStages {
   double measure_cpu_s = 0;    ///< summed program-measurement CPU seconds
   double translate_cpu_s = 0;  ///< summed translate + compile CPU seconds
   double simulate_cpu_s = 0;   ///< summed per-cell simulation CPU seconds
-  double prewarm_wall_s = 0;   ///< wall time of the measure/translate stage
-  double simulate_wall_s = 0;  ///< wall time of the simulation fan-out
-
-  // Simulate-path breakdown: how the grid's replay work split between the
-  // event engine and the engine-free analytic path, so scaling rows can
-  // attribute wins (events fired vs segments skipped).
-  std::int64_t cells_event = 0;     ///< cells replayed through the engine
-  std::int64_t cells_hybrid = 0;    ///< cells on the engine-free path
-  std::int64_t sim_events_fired = 0;       ///< engine events, whole grid
-  std::int64_t sim_segments_collapsed = 0; ///< analytic segments, whole grid
-  std::int64_t sim_segments_total = 0;     ///< all segments, whole grid
-  std::int64_t sim_ops_collapsed = 0;      ///< replay steps skipped
-
-  // Representative-epoch sampling attribution (cells that took the
-  // sampled path, core::SamplingStats): how much trace LENGTH the
-  // grid's replays skipped by walking one exemplar per epoch class.
-  std::int64_t cells_sampled = 0;        ///< cells on the sampled path
-  std::int64_t sim_epochs_total = 0;     ///< epochs across sampled cells
-  std::int64_t sim_epoch_classes = 0;    ///< distinct classes, sampled cells
-  std::int64_t sim_epochs_simulated = 0; ///< exemplar walks performed
-  std::int64_t sim_epochs_replayed = 0;  ///< non-recurring epochs replayed
+  double prewarm_wall_s = 0;   ///< sweep start -> last pre-warm job done
+  double simulate_wall_s = 0;  ///< last pre-warm job done -> sweep end
 };
 
 struct SweepResult {
@@ -222,7 +203,7 @@ class SweepRunner {
 
   /// Run the whole grid.  Measurements for distinct thread counts happen
   /// once each; simulations run on the pool; predictions return in grid
-  /// order.  The first task exception (if any) is rethrown after the batch
+  /// order.  The first task exception (if any) is rethrown after the pool
   /// drains.
   SweepResult run(const std::vector<SweepPoint>& grid);
 

@@ -9,13 +9,37 @@
 
 namespace xp::metrics {
 
+SweepPaths sweep_paths(const core::SweepResult& r) {
+  SweepPaths out;
+  for (const core::Prediction& p : r.predictions) {
+    const core::HybridStats& h = p.sim.hybrid;
+    if (h.segments_collapsed > 0)
+      ++out.cells_hybrid;
+    else
+      ++out.cells_event;
+    out.sim_events_fired += static_cast<std::int64_t>(p.sim.engine_events);
+    out.sim_segments_collapsed += h.segments_collapsed;
+    out.sim_segments_total += h.segments_total;
+    out.sim_ops_collapsed += h.ops_collapsed;
+    const core::SamplingStats& sp = p.sim.sampling;
+    if (sp.active) {
+      ++out.cells_sampled;
+      out.sim_epochs_total += sp.epochs;
+      out.sim_epoch_classes += sp.classes;
+      out.sim_epochs_simulated += sp.epochs_simulated;
+      out.sim_epochs_replayed += sp.epochs_replayed;
+    }
+  }
+  return out;
+}
+
 SweepReport analyze_sweep(const core::SweepResult& r) {
   XP_REQUIRE(r.grid.size() == r.predictions.size(),
              "sweep result is incomplete");
   SweepReport out;
   out.cache_hits = r.cache_hits;
   out.cache_misses = r.cache_misses;
-  out.stages = r.stages;
+  out.paths = sweep_paths(r);
 
   std::vector<std::string> order;
   std::map<std::string, std::map<int, const core::Prediction*>> by_label;
@@ -67,11 +91,7 @@ std::string render_sweep(const SweepReport& r, bool chart) {
   if (r.cache_misses > 0)
     os << "\n(translate cache: " << r.cache_misses << " measurement(s), "
        << r.cache_hits << " reuse(s))\n";
-  // Simulate-mode attribution footer: how the grid's replay work split
-  // between the event engine, the hybrid analytic path, and the
-  // representative-epoch sampled path (core::SweepStages — computed by
-  // every sweep, surfaced here so the standard report shows it).
-  const core::SweepStages& st = r.stages;
+  const SweepPaths& st = r.paths;
   if (st.cells_event + st.cells_hybrid > 0) {
     os << "(simulate: " << st.cells_event << " event cell(s), "
        << st.cells_hybrid << " hybrid cell(s), " << st.cells_sampled

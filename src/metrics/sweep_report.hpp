@@ -9,6 +9,7 @@
 // one pass.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,15 +28,35 @@ struct SweepSeries {
   ScalabilityReport scalability;   ///< valid iff has_scalability
 };
 
+/// Simulate-path attribution of a sweep, summed over its predictions: how
+/// the grid's replay work split between the event engine, the engine-free
+/// analytic path and representative-epoch sampling (events fired vs
+/// segments skipped vs trace length skipped).
+struct SweepPaths {
+  std::int64_t cells_event = 0;     ///< cells replayed through the engine
+  std::int64_t cells_hybrid = 0;    ///< cells on the engine-free path
+  std::int64_t sim_events_fired = 0;       ///< engine events, whole grid
+  std::int64_t sim_segments_collapsed = 0; ///< analytic segments, whole grid
+  std::int64_t sim_segments_total = 0;     ///< all segments, whole grid
+  std::int64_t sim_ops_collapsed = 0;      ///< replay steps skipped
+
+  // Cells that took the sampled path (core::SamplingStats).
+  std::int64_t cells_sampled = 0;        ///< cells on the sampled path
+  std::int64_t sim_epochs_total = 0;     ///< epochs across sampled cells
+  std::int64_t sim_epoch_classes = 0;    ///< distinct classes, sampled cells
+  std::int64_t sim_epochs_simulated = 0; ///< exemplar walks performed
+  std::int64_t sim_epochs_replayed = 0;  ///< non-recurring epochs replayed
+};
+
+SweepPaths sweep_paths(const core::SweepResult& r);
+
 struct SweepReport {
   std::vector<SweepSeries> series;  ///< label first-appearance order
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Per-stage timing and simulate-mode attribution of the sweep
-  /// (core::SweepStages): event vs hybrid vs epoch-sampled cells, engine
-  /// events fired, segments collapsed, epoch classes walked.  Rendered as
-  /// the report footer so mode attribution lands in the standard table.
-  core::SweepStages stages;
+  /// Rendered as the report footer so path attribution lands in the
+  /// standard table.
+  SweepPaths paths;
 };
 
 /// Group a sweep's predictions into per-label series.  Points sharing a

@@ -4,9 +4,9 @@
 // the per-source sharded core::TranslateCache instances (kept hot for the
 // process lifetime and SHARED across connections — two sessions over the
 // same uploaded trace or benchmark name resolve to one cache), the
-// work-stealing util::ThreadPool the query batches fan out over, and the
-// stats counters.  The socket layer (serve/server.hpp) only moves frames;
-// tests and the QPS benchmark can drive a Service entirely in-process.
+// util::ThreadPool the query batches fan out over, and the stats counters.
+// The socket layer (serve/server.hpp) only moves frames; tests and the QPS
+// benchmark can drive a Service entirely in-process.
 //
 // Threading (DESIGN.md §11, building on the §10 ownership rules):
 //   * handle_async() may be called from any ONE dispatcher thread (the

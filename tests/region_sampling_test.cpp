@@ -19,6 +19,7 @@
 #include "core/simulator.hpp"
 #include "core/sweep.hpp"
 #include "core/translate.hpp"
+#include "metrics/sweep_report.hpp"
 #include "model/params.hpp"
 #include "rt/runtime.hpp"
 #include "suite/suite.hpp"
@@ -356,10 +357,11 @@ TEST(EpochClasses, SweepBitwiseAcrossWorkerCounts) {
   }
   for (const core::SweepResult& r : results) {
     // Every cell took the sampled path.
-    EXPECT_EQ(r.stages.cells_sampled, 3);
-    EXPECT_GT(r.stages.sim_epochs_total, 0);
-    EXPECT_GT(r.stages.sim_epoch_classes, 0);
-    EXPECT_LT(r.stages.sim_epochs_simulated, r.stages.sim_epochs_total);
+    const metrics::SweepPaths paths = metrics::sweep_paths(r);
+    EXPECT_EQ(paths.cells_sampled, 3);
+    EXPECT_GT(paths.sim_epochs_total, 0);
+    EXPECT_GT(paths.sim_epoch_classes, 0);
+    EXPECT_LT(paths.sim_epochs_simulated, paths.sim_epochs_total);
   }
   for (std::size_t i = 0; i < grid.size(); ++i)
     expect_bitwise_equal(results[0].predictions[i].sim, oracle[i],

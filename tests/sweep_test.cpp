@@ -176,7 +176,7 @@ TEST(SweepRunner, FactoryPathMatchesSeededPath) {
   const SweepResult from_seed = seeded.run(grid);
   EXPECT_EQ(serialize(from_factory), serialize(from_seed));
 
-  // The factory path did real measurements through the pre-warm stage, so
+  // The factory path did real measurements through the pre-warm jobs, so
   // the per-stage breakdown must account for them; the seeded path never
   // measures.  Both CPU-sum and wall views must be populated.
   EXPECT_GT(from_factory.stages.measure_cpu_s, 0.0);
@@ -313,6 +313,53 @@ TEST(SweepRunner, RejectsBadSubmitOrder) {
   p.n_threads = 1;
   p.params = model::ideal_preset();
   EXPECT_THROW(runner.run({p, p}), util::Error);
+}
+
+// A program whose measurement fails at one thread count.
+class FailingAtProgram : public SweepProgram {
+ public:
+  explicit FailingAtProgram(int bad_n) : bad_n_(bad_n) {}
+  void setup(rt::Runtime& rt) override {
+    if (rt.n_threads() == bad_n_) throw util::Error("measurement failed");
+    SweepProgram::setup(rt);
+  }
+
+ private:
+  int bad_n_;
+};
+
+// One failing key in a multi-key grid: run() rethrows the measurement's
+// util::Error only once the pool has drained — every other key was still
+// measured and no cell still holds a trace — and the same runner then
+// answers a grid without that key exactly like a sequential Extrapolator.
+TEST(SweepRunner, FailingKeyThrowsAfterDrainAndRunnerStaysUsable) {
+  static constexpr int kBad = 8;  // the largest key: its job starts first
+  SweepOptions opt;
+  opt.n_workers = 4;
+  SweepRunner runner([] { return std::make_unique<FailingAtProgram>(kBad); },
+                     opt);
+  const auto grid = test_grid();
+  EXPECT_THROW(runner.run(grid), util::Error);
+  for (int n : {1, 2, 4}) {
+    TranslateKey key;
+    key.n_threads = n;
+    const auto tt = runner.cache().get(key);
+    ASSERT_NE(tt, nullptr) << "n=" << n << " was not measured";
+    EXPECT_EQ(tt.use_count(), 2) << "a cell outlived run() at n=" << n;
+  }
+
+  std::vector<SweepPoint> good;
+  for (const SweepPoint& p : grid)
+    if (p.n_threads != kBad) good.push_back(p);
+  const SweepResult r = runner.run(good);
+  EXPECT_EQ(r.cache_misses, 0u);
+  EXPECT_EQ(r.cache_hits, good.size());
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    SweepProgram prog;
+    expect_equal(r.predictions[i],
+                 Extrapolator(good[i].params).extrapolate(prog, good[i].n_threads),
+                 "point=" + std::to_string(i));
+  }
 }
 
 TEST(TranslateCache, KeyedOnThreadCountAndOptions) {

@@ -12,8 +12,17 @@
 // Auto over the trace without its epoch-class table), and EventDriven
 // against identical translated traces; holds all three bitwise equal; and
 // gates sampled >= 10x full-analytic simulate-stage wall time at >= 1000
-// epochs.  A failed shape check makes the binary exit nonzero.  The last
-// stdout line is the JSON "sampling" and "sampling_speedup_vs_hybrid"
+// epochs.
+//
+// The event-path rows are the representative ones: Grid at 240 iterations
+// and 64 threads on the built-in cm5 and shared presets (one processor per
+// cluster, so every cell replays through the engine), trace emitted as
+// sweeps do by default.  There Auto's epoch memo replays each recurring
+// epoch class through the engine once; the rows gate Auto >= 3x
+// EventDriven wall time with bitwise-identical predictions and traces.
+//
+// A failed shape check makes the binary exit nonzero.  The last stdout
+// line is the JSON "sampling", "sampling_speedup_vs_hybrid" and "memo"
 // sections of BENCH_sim.json.
 //
 //   --smoke   run only the Auto grid 1002-epoch cell (CI long-trace smoke,
@@ -60,10 +69,11 @@ struct Cell {
 };
 
 Cell run_cell(const core::TranslatedTrace& prepared,
-              const model::SimParams& params, core::SimMode mode) {
+              const model::SimParams& params, core::SimMode mode,
+              bool emit_trace = false) {
   core::SimOptions opts;
   opts.mode = mode;
-  opts.emit_trace = false;
+  opts.emit_trace = emit_trace;
   Cell cell;
   cell.sim_s = 1e30;
   for (int i = 0; i < 3; ++i) {
@@ -168,6 +178,53 @@ int run(bool smoke) {
     if (epochs >= 1000) speedup_at_1000 = speedup;
   }
 
+  // Event-path epoch memo on built-in presets.
+  std::printf("\nEvent-path epoch memo (grid 240 iterations, 64 threads, "
+              "built-in presets, trace emitted)\n\n");
+  std::printf("  %-7s %12s %12s %9s  %8s  %10s\n", "preset", "event",
+              "auto", "speedup", "epochs", "simulated");
+  JsonObject memo;
+  bool memo_exact = true;
+  bool memo_engaged = true;
+  double memo_min_speedup = 1e30;
+  {
+    suite::SuiteConfig cfg;
+    cfg.grid_iters = 240;
+    auto prog = suite::make_by_name("grid", cfg);
+    rt::MeasureOptions mo;
+    mo.n_threads = 64;
+    const core::TranslatedTrace prepared =
+        core::prepare_trace(rt::measure(*prog, mo));
+    for (const auto& [name, params] :
+         {std::pair<const char*, model::SimParams>{"cm5", model::cm5_preset()},
+          {"shared", model::shared_memory_preset()}}) {
+      const Cell ev = run_cell(prepared, params, core::SimMode::EventDriven,
+                               /*emit_trace=*/true);
+      const Cell au =
+          run_cell(prepared, params, core::SimMode::Auto, /*emit_trace=*/true);
+      const core::SamplingStats& sp = au.pred.sim.sampling;
+      const double speedup = au.sim_s > 0 ? ev.sim_s / au.sim_s : 0.0;
+      std::printf("  %-7s %9.3f ms %9.3f ms %8.1fx  %8lld  %10lld\n", name,
+                  ev.sim_s * 1e3, au.sim_s * 1e3, speedup,
+                  static_cast<long long>(sp.epochs),
+                  static_cast<long long>(sp.epochs_simulated));
+      if (!bitwise_equal(au.pred, ev.pred) ||
+          au.pred.sim.extrapolated.events() != ev.pred.sim.extrapolated.events())
+        memo_exact = false;
+      if (!sp.active || sp.epochs_simulated >= sp.epochs) memo_engaged = false;
+      memo_min_speedup = std::min(memo_min_speedup, speedup);
+      memo.obj(std::string("memo_grid240_n64_") + name,
+               JsonObject()
+                   .num("event_seconds", ev.sim_s, 6)
+                   .num("auto_seconds", au.sim_s, 6)
+                   .num("speedup", speedup, 2)
+                   .count("epochs", sp.epochs)
+                   .count("classes", sp.classes)
+                   .count("epochs_simulated", sp.epochs_simulated)
+                   .count("predicted_ns", au.pred.predicted_time.count_ns()));
+    }
+  }
+
   std::printf("\nShape checks (DESIGN.md §15: dedup is exact):\n");
   shape_check("auto == hybrid == event-driven bitwise at every length",
               all_exact);
@@ -181,9 +238,23 @@ int run(bool smoke) {
                   speedup_at_1000);
     shape_check(claim, speedup_at_1000 >= 10.0);
   }
+  shape_check("memo: auto == event-driven bitwise, trace included, on cm5 "
+              "and shared",
+              memo_exact);
+  shape_check("memo engaged: fewer epochs through the engine than the trace",
+              memo_engaged);
+  {
+    char claim[128];
+    std::snprintf(claim, sizeof claim,
+                  "memo: auto >= 3x event-driven simulate on grid-240 n=64, "
+                  "cm5 and shared (min %.1fx)",
+                  memo_min_speedup);
+    shape_check(claim, memo_min_speedup >= 3.0);
+  }
   std::cout << JsonObject()
                    .obj("sampling", rows)
                    .obj("sampling_speedup_vs_hybrid", speedups)
+                   .obj("memo", memo)
                    .text()
             << '\n';
   return exit_code();

@@ -106,7 +106,7 @@ with open("BENCH_sim.json", "w") as f:
     f.write("\n")
 print(f"wrote BENCH_sim.json ({len(best)} micro benchmarks; " + ", ".join(
     f"{len(rows)} {key} rows" for key, rows in out.items()
-    if key in ("sweep", "serve", "hybrid", "pattern", "sampling")) + ")")
+    if key in ("sweep", "serve", "hybrid", "pattern", "sampling", "memo")) + ")")
 
 # Fiber gate: the within-run ratio of BM_FiberSwitch (process-default
 # backend, fcontext where ported) over BM_FiberSwitchUcontext must clear

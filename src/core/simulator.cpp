@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "model/barrier_model.hpp"
@@ -91,6 +92,12 @@ struct EarlyArrivals {
     spill.emplace_back(barrier_id, 1);
   }
 
+  bool empty() const {
+    for (int i = 0; i < kSlots; ++i)
+      if (counts[i] > 0) return false;
+    return spill.empty();
+  }
+
   /// Claim (and clear) the arrivals recorded for `barrier_id`; 0 if none.
   int take(std::int32_t barrier_id) {
     for (int i = 0; i < kSlots; ++i)
@@ -145,6 +152,47 @@ struct AnalyticBarrier {
   int count = 0;
 };
 
+// --- epoch memo (SimMode::Auto on the event path; DESIGN.md §15) ---------
+//
+// A cut is the moment every thread has arrived at barrier k: the release
+// instant of an analytic barrier, the root's last arrival of a message
+// barrier.  At a quiescent cut (nothing pending in the engine, every CPU
+// idle, nothing in flight, no queued requests or early arrivals) the state
+// that matters is the same at every cut up to per-thread wait starts and
+// absolute time, so the window from cut k to cut k+1 — the release of
+// barrier k, epoch k+1, the arrivals at barrier k+1 — is a pure function of
+// epoch k+1's content: its epoch class.
+
+/// One event the window emitted, relative to the cut.
+struct MemoEvent {
+  std::int32_t thread = 0;
+  std::int32_t op = 0;  ///< op offset inside the thread's segment of the
+                        ///  epoch; -1 = the exit from the cut's barrier
+  Time at;              ///< offset from the cut
+};
+
+/// Everything one window changes, as offsets from its starting cut.
+struct MemoWindow {
+  Time advance;                    ///< cut -> next cut
+  std::vector<ThreadStats> delta;  ///< per thread; barrier_wait, finish unused
+  std::vector<Time> exit_at;       ///< cut -> exit from the cut's barrier
+  std::vector<Time> wait_from;     ///< next barrier's wait start -> next cut
+  net::Tally traffic;
+  std::vector<MemoEvent> events;   ///< in emission order
+};
+
+/// A window being replayed through the engine for the memo: the state at
+/// its starting cut, plus the events emitted since.
+struct Recording {
+  std::int32_t cls = 0;
+  std::int64_t epoch = 0;  ///< the epoch the window replays
+  Time cut;
+  std::vector<ThreadStats> stats;
+  std::vector<Time> wait_start;
+  net::Tally traffic;
+  std::vector<MemoEvent> events;
+};
+
 class Simulator {
  public:
   Simulator(const CompiledTrace& compiled, const SimParams& params,
@@ -167,6 +215,13 @@ class Simulator {
     }
     cpus_.resize(static_cast<std::size_t>(n_procs_));
     choose_path(compiled);
+    if (opts_.emit_trace) {
+      // Every op is emitted once, plus one exit per barrier per thread.
+      std::size_t events = 0;
+      for (const CompiledThread& th : compiled.threads)
+        events += th.ops.size() + th.barrier_ids.size();
+      out_events_.reserve(events);
+    }
   }
 
   SimResult run() {
@@ -175,6 +230,11 @@ class Simulator {
     } else {
       for (auto& t : threads_) proceed(*t);
       engine_.run();
+      while (parked_) {  // the engine drained at a quiescent cut
+        parked_ = false;
+        resume_from_cut();
+        engine_.run();
+      }
     }
     for (auto& t : threads_)
       XP_CHECK(t->state == TState::Done,
@@ -187,14 +247,13 @@ class Simulator {
       r.makespan = util::max(r.makespan, t->stats.finish);
       r.threads.push_back(t->stats);
     }
-    trace::Trace out(n_);
-    out.set_meta("extrapolated", "1");
-    for (const Event& e : out_events_) out.append(e);
-    out.sort_by_time();
-    r.extrapolated = std::move(out);
+    r.extrapolated = trace::Trace(n_);
+    r.extrapolated.set_meta("extrapolated", "1");
+    r.extrapolated.mutable_events() = std::move(out_events_);
+    r.extrapolated.sort_by_time();  // only the engine-free path reorders
     r.messages = network_.messages_sent();
     r.bytes = network_.bytes_sent();
-    r.avg_inflight = network_.load_samples().mean();
+    r.avg_inflight = network_.contention().mean_inflight();
     r.engine_events = engine_.fired();
     r.hybrid = hyb_;
     r.sampling = samp_;
@@ -218,8 +277,9 @@ class Simulator {
   //
   // Same-processor accesses are free and intra-cluster accesses cost a
   // fixed latency + per-byte copy on the accessing CPU only, so both stay
-  // inside the closed form.  Anything else replays through the engine;
-  // both paths are exact, so the choice changes speed, never a result.
+  // inside the closed form.  Anything else replays through the engine,
+  // memoizing recurring epochs when the trace has an epoch-class table;
+  // every path is exact, so the choice changes speed, never a result.
   void choose_path(const CompiledTrace& compiled) {
     for (const CompiledThread& th : compiled.threads)
       hyb_.segments_total += static_cast<std::int64_t>(th.segments.size());
@@ -227,6 +287,7 @@ class Simulator {
     if (n_procs_ < n_ || !compiled.uniform_barriers || use_messages() ||
         has_cross_cluster_access(compiled)) {
       hyb_.segments_demoted = hyb_.segments_total;
+      start_memo(compiled.epoch_classes);
       return;
     }
     epochs_ = static_cast<std::int64_t>(compiled.threads[0].segments.size());
@@ -433,22 +494,22 @@ class Simulator {
     return Time::ns(t.count_ns() * k);
   }
 
-  /// Replace the delta `s − before` by `m` copies of it.  barrier_wait and
-  /// finish are excluded by construction — walk_segment never touches them.
-  static void scale_stats_delta(ThreadStats& s, const ThreadStats& before,
-                                std::int64_t m) {
-    const std::int64_t k = m - 1;
-    s.compute += times(s.compute - before.compute, k);
-    s.comm_wait += times(s.comm_wait - before.comm_wait, k);
-    s.send_overhead += times(s.send_overhead - before.send_overhead, k);
-    s.service_time += times(s.service_time - before.service_time, k);
-    s.poll_time += times(s.poll_time - before.poll_time, k);
-    s.remote_accesses += (s.remote_accesses - before.remote_accesses) * k;
-    s.intra_cluster_accesses +=
-        (s.intra_cluster_accesses - before.intra_cluster_accesses) * k;
-    s.requests_served += (s.requests_served - before.requests_served) * k;
-    s.interrupts_taken += (s.interrupts_taken - before.interrupts_taken) * k;
-    s.polls += (s.polls - before.polls) * k;
+  /// a += k × (b − c), field by field, over every cost a segment walk or a
+  /// memo window accumulates: all ThreadStats fields except barrier_wait
+  /// and finish, which callers charge themselves.  `a` may alias `b`.
+  static void accumulate(ThreadStats& a, const ThreadStats& b,
+                         const ThreadStats& c, std::int64_t k) {
+    a.compute += times(b.compute - c.compute, k);
+    a.comm_wait += times(b.comm_wait - c.comm_wait, k);
+    a.send_overhead += times(b.send_overhead - c.send_overhead, k);
+    a.service_time += times(b.service_time - c.service_time, k);
+    a.poll_time += times(b.poll_time - c.poll_time, k);
+    a.remote_accesses += (b.remote_accesses - c.remote_accesses) * k;
+    a.intra_cluster_accesses +=
+        (b.intra_cluster_accesses - c.intra_cluster_accesses) * k;
+    a.requests_served += (b.requests_served - c.requests_served) * k;
+    a.interrupts_taken += (b.interrupts_taken - c.interrupts_taken) * k;
+    a.polls += (b.polls - c.polls) * k;
   }
 
   /// The engine-free path: every segment of every thread collapsed, so the
@@ -508,7 +569,7 @@ class Simulator {
         ++hyb_.ops_collapsed;  // the terminating Barrier/End op
         T.op = seg.op_end + 1;
         emit_at(T, T.code->proto[seg.op_end], w);
-        if (m > 1) scale_stats_delta(T.stats, before, m);
+        if (m > 1) accumulate(T.stats, T.stats, before, m - 1);
         if (final_epoch) {
           T.state = TState::Done;
           T.stats.finish = w;
@@ -529,10 +590,7 @@ class Simulator {
       const std::int32_t id = threads_[0]->code->barrier_ids[ei];
       for (int t = 0; t < n_; ++t) {
         ThreadCtx& T = thr(t);
-        Event ev;
-        ev.kind = EventKind::BarrierExit;
-        ev.barrier_id = id;
-        emit_at(T, ev, exit);
+        emit_at(T, barrier_exit(id), exit);
         T.stats.barrier_wait +=
             times(exit - at[static_cast<std::size_t>(t)], m);
       }
@@ -583,11 +641,11 @@ class Simulator {
     switch (code.ops[i]) {
       case OpKind::Begin:
       case OpKind::Phase:
-        emit(T, code.proto[i]);
+        emit_op(T, i);
         proceed(T);
         break;
       case OpKind::End:
-        emit(T, code.proto[i]);
+        emit_op(T, i);
         T.state = TState::Done;
         T.stats.finish = engine_.now();
         // A finished thread's processor keeps servicing remote requests
@@ -595,11 +653,11 @@ class Simulator {
         drain_inbox(T);
         break;
       case OpKind::Remote:
-        emit(T, code.proto[i]);
+        emit_op(T, i);
         begin_remote_access(T, code.remotes[T.remote++]);
         break;
       case OpKind::Barrier:
-        emit(T, code.proto[i]);
+        emit_op(T, i);
         begin_barrier(T, code.barrier_ids[T.barrier++]);
         break;
     }
@@ -760,9 +818,7 @@ class Simulator {
         T.children_arrived < static_cast<int>(kids.size()))
       return;
     if (T.id == plan_.root) {
-      // ModelTime: master's delay before it starts lowering the barrier.
-      cpu_enqueue(T.proc, params_.barrier.model_time, false,
-                  [this, &T] { send_releases(T); });
+      if (!park_at_cut(engine_.now())) lower_barrier(T);
     } else {
       const Time send_cpu = net::send_cpu_time(params_.comm);
       T.stats.send_overhead += send_cpu;
@@ -793,6 +849,12 @@ class Simulator {
         P.early_arrivals.add(m.barrier_id);
       }
     });
+  }
+
+  void lower_barrier(ThreadCtx& root) {
+    // ModelTime: master's delay before it starts lowering the barrier.
+    cpu_enqueue(root.proc, params_.barrier.model_time, false,
+                [this, &root] { send_releases(root); });
   }
 
   void send_releases(ThreadCtx& T) {
@@ -838,11 +900,7 @@ class Simulator {
   }
 
   void barrier_exit_done(ThreadCtx& T) {
-    Event exit;
-    exit.thread = T.id;
-    exit.kind = EventKind::BarrierExit;
-    exit.barrier_id = T.cur_barrier;
-    emit(T, exit);
+    emit_exit(T);
     T.stats.barrier_wait += engine_.now() - T.wait_start;
     T.self_arrived = false;
     T.children_arrived = 0;
@@ -858,7 +916,11 @@ class Simulator {
     if (++b.count < n_) return;
     const Time at = util::max(
         model::analytic_release(params_.barrier, b.arrival), engine_.now());
-    const std::int32_t id = T.cur_barrier;
+    analytic_.erase(T.cur_barrier);
+    if (!park_at_cut(at)) schedule_releases(at, T.cur_barrier);
+  }
+
+  void schedule_releases(Time at, std::int32_t id) {
     for (int t = 0; t < n_; ++t) {
       engine_.schedule_at(at, [this, t, id] {
         ThreadCtx& W = thr(t);
@@ -867,12 +929,182 @@ class Simulator {
         barrier_exit_done(W);
       });
     }
-    analytic_.erase(id);
+  }
+
+  // --- epoch memo -------------------------------------------------------------
+  //
+  // A run parks at every quiescent cut: the callback that completed the
+  // barrier schedules nothing, the engine drains, and run() calls
+  // resume_from_cut(), which replays memoized windows without the engine
+  // and hands the first window that is not in the memo back to it.  Only
+  // that miss restores live engine state, exactly what the cut's callback
+  // would have scheduled.
+
+  void start_memo(const EpochClassTable& tab) {
+    if (!tab.built()) return;
+    memo_.resize(static_cast<std::size_t>(tab.n_classes()));
+    samp_.active = true;
+    samp_.epochs = tab.epochs();
+    samp_.classes = tab.n_classes();
+    samp_.epochs_simulated = tab.epochs();  // each hit takes one off
+    for (const std::int64_t m : tab.count)
+      if (m == 1) ++samp_.epochs_replayed;
+  }
+
+  /// Called the moment every thread has arrived at its current barrier,
+  /// which starts releasing them at `release`.  Parks the run there and
+  /// returns true iff the memo is on and the cut is quiescent; otherwise
+  /// drops the window being recorded, which no longer ends on a clean cut.
+  bool park_at_cut(Time release) {
+    if (memo_.empty()) return false;
+    if (!quiescent()) {
+      rec_.reset();
+      return false;
+    }
+    parked_ = true;
+    cut_ = release;
+    return true;
+  }
+
+  bool quiescent() const {
+    if (engine_.pending() != 0 || network_.contention().inflight() != 0)
+      return false;
+    for (const Cpu& c : cpus_)
+      if (c.busy || !c.queue.empty()) return false;
+    for (const auto& t : threads_)
+      if (t->state != TState::WaitBarrier || !t->inbox.empty() ||
+          !t->early_arrivals.empty())
+        return false;
+    return true;
+  }
+
+  /// Whether the window that releases barrier k (and replays epoch k + 1)
+  /// may be memoized: it must end at another barrier, and that barrier's
+  /// id must differ from k's — arrival messages match barriers by id, so
+  /// equal consecutive ids would change how early arrivals are counted.
+  bool memoizable(std::int64_t k) const {
+    const std::vector<std::int32_t>& ids = threads_[0]->code->barrier_ids;
+    const auto next = static_cast<std::size_t>(k + 1);
+    return next < ids.size() && ids[next] != ids[next - 1];
+  }
+
+  void resume_from_cut() {
+    const EpochClassTable& tab = compiled_->epoch_classes;
+    auto k = static_cast<std::int64_t>(thr(0).barrier) - 1;
+    if (rec_) close_recording(k);
+    while (memoizable(k)) {
+      const MemoWindow* w =
+          memo_[static_cast<std::size_t>(tab.class_of[k + 1])].get();
+      if (w == nullptr) break;
+      replay_window(*w, k++);
+      --samp_.epochs_simulated;
+    }
+    if (memoizable(k)) {
+      const std::int32_t c = tab.class_of[static_cast<std::size_t>(k + 1)];
+      if (tab.count[static_cast<std::size_t>(c)] > 1) open_recording(c, k);
+    }
+    // The miss: schedule what the cut's own callback would have.
+    if (use_messages())
+      engine_.schedule_at(cut_, [this] { lower_barrier(thr(plan_.root)); });
+    else
+      schedule_releases(cut_, thr(0).cur_barrier);
+  }
+
+  void open_recording(std::int32_t cls, std::int64_t k) {
+    Recording& r = rec_.emplace();
+    r.cls = cls;
+    r.epoch = k + 1;
+    r.cut = cut_;
+    r.traffic = network_.tally();
+    for (const auto& t : threads_) {
+      r.stats.push_back(t->stats);
+      r.wait_start.push_back(t->wait_start);
+    }
+  }
+
+  /// The recorded window ended at the cut of barrier k: store it.
+  void close_recording(std::int64_t k) {
+    Recording& r = *rec_;
+    XP_CHECK(r.epoch == k, "memo window did not end at the next cut");
+    auto w = std::make_unique<MemoWindow>();
+    w->advance = cut_ - r.cut;
+    w->traffic = network_.tally() - r.traffic;
+    w->events = std::move(r.events);
+    for (int t = 0; t < n_; ++t) {
+      const ThreadCtx& T = thr(t);
+      const ThreadStats& s0 = r.stats[static_cast<std::size_t>(t)];
+      ThreadStats d;
+      accumulate(d, T.stats, s0, 1);
+      w->delta.push_back(d);
+      // The window charged exactly one barrier wait: the cut's, ending at
+      // this thread's exit.
+      w->exit_at.push_back(r.wait_start[static_cast<std::size_t>(t)] +
+                           (T.stats.barrier_wait - s0.barrier_wait) - r.cut);
+      w->wait_from.push_back(cut_ - T.wait_start);
+    }
+    memo_[static_cast<std::size_t>(r.cls)] = std::move(w);
+    rec_.reset();
+  }
+
+  /// Apply a memoized window to the run parked at the cut of barrier k and
+  /// move the cut to barrier k + 1.  Object and barrier ids in the emitted
+  /// events come from this epoch: the class table ignores them.
+  void replay_window(const MemoWindow& w, std::int64_t k) {
+    const auto e = static_cast<std::size_t>(k + 1);
+    const std::int32_t exit_id = thr(0).cur_barrier;
+    if (opts_.emit_trace)
+      for (const MemoEvent& m : w.events) {
+        ThreadCtx& T = thr(m.thread);
+        if (m.op < 0)
+          emit_at(T, barrier_exit(exit_id), cut_ + m.at);
+        else
+          emit_at(T, T.code->proto[T.code->segments[e].op_begin +
+                                   static_cast<std::uint32_t>(m.op)],
+                  cut_ + m.at);
+      }
+    for (int t = 0; t < n_; ++t) {
+      ThreadCtx& T = thr(t);
+      const auto ti = static_cast<std::size_t>(t);
+      const Segment& seg = T.code->segments[e];
+      accumulate(T.stats, w.delta[ti], ThreadStats{}, 1);
+      T.stats.barrier_wait += cut_ + w.exit_at[ti] - T.wait_start;
+      T.wait_start = cut_ + w.advance - w.wait_from[ti];
+      T.op = seg.op_end + 1;
+      T.remote = seg.remote_end;
+      T.barrier = static_cast<std::uint32_t>(e + 1);
+      T.cur_barrier = T.code->barrier_ids[e];
+    }
+    network_.credit(w.traffic);
+    cut_ += w.advance;
   }
 
   // --- output ---------------------------------------------------------------
 
-  void emit(ThreadCtx& T, const Event& e) { emit_at(T, e, engine_.now()); }
+  static Event barrier_exit(std::int32_t id) {
+    Event exit;
+    exit.kind = EventKind::BarrierExit;
+    exit.barrier_id = id;
+    return exit;
+  }
+
+  void emit_op(ThreadCtx& T, std::uint32_t op) {
+    if (!opts_.emit_trace) return;
+    if (rec_)
+      rec_->events.push_back(MemoEvent{
+          T.id,
+          static_cast<std::int32_t>(
+              op - T.code->segments[static_cast<std::size_t>(rec_->epoch)]
+                       .op_begin),
+          engine_.now() - rec_->cut});
+    emit_at(T, T.code->proto[op], engine_.now());
+  }
+
+  void emit_exit(ThreadCtx& T) {
+    if (!opts_.emit_trace) return;
+    if (rec_)
+      rec_->events.push_back(MemoEvent{T.id, -1, engine_.now() - rec_->cut});
+    emit_at(T, barrier_exit(T.cur_barrier), engine_.now());
+  }
 
   // By reference so the no-trace configurations (sweeps, serve, huge-n
   // analytic runs) skip the Event copy entirely — it is measurable per-op.
@@ -901,6 +1133,13 @@ class Simulator {
   std::int64_t epochs_ = 0;
   HybridStats hyb_;
   SamplingStats samp_;
+
+  // Epoch memo: one window per recurring class (null until recorded); the
+  // memo is on iff memo_ is non-empty.
+  std::vector<std::unique_ptr<MemoWindow>> memo_;
+  std::optional<Recording> rec_;
+  bool parked_ = false;
+  Time cut_;  ///< when the parked cut's barrier starts releasing
 };
 
 }  // namespace

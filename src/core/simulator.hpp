@@ -63,18 +63,25 @@ struct ThreadStats {
 ///    Σ class_count × exemplar advance — exact, because analytic barriers
 ///    release every thread at one uniform instant and segment walks are
 ///    start-translation-invariant, so integer per-class deltas multiply
-///    without error (DESIGN.md §15).  Every Auto prediction is therefore
-///    bitwise-equal to EventDriven.
-///  * EventDriven — replay every op through the radix-calendar engine.
-///    The differential oracle the tests hold Auto against.
+///    without error (DESIGN.md §15).  On the event path, when the trace has
+///    an epoch-class table, Auto memoizes: the window between two quiescent
+///    cuts (every thread arrived at a barrier, nothing else live) is a pure
+///    function of the next epoch's class, so each recurring class goes
+///    through the engine once per run and later members replay the
+///    recorded window — stats, traffic and emitted events shifted in time
+///    (DESIGN.md §15).  Every Auto prediction is therefore bitwise-equal to
+///    EventDriven.
+///  * EventDriven — replay every op through the radix-calendar engine, with
+///    no memo.  The differential oracle the tests hold Auto against.
 enum class SimMode : std::uint8_t { Auto, EventDriven };
 
 struct SimOptions {
   SimMode mode = SimMode::Auto;
-  /// Build the re-timestamped extrapolated trace.  Costs O(events) memory +
-  /// a sort; numeric outputs (makespan, stats, messages) are unaffected, so
-  /// huge-n scaling runs turn it off.  Also disables Auto's epoch sampling
-  /// (every epoch must be walked to emit its events).
+  /// Build the re-timestamped extrapolated trace.  Costs O(events) memory
+  /// (plus a sort on the engine-free path); numeric outputs (makespan,
+  /// stats, messages) are unaffected, so huge-n scaling runs turn it off.
+  /// Also disables the engine-free walk's epoch sampling (every epoch must
+  /// be walked to emit its events); the event path's memo emits either way.
   bool emit_trace = true;
 };
 
@@ -82,7 +89,8 @@ struct SimOptions {
 /// barrier-delimited slices: on the engine-free path every segment is
 /// collapsed into its closed form; when Auto falls back to event replay
 /// every segment is demoted (EventDriven runs demote nothing — they never
-/// asked).
+/// asked), and how much of that replay the epoch memo skipped shows in
+/// SamplingStats.
 struct HybridStats {
   enum class Path : std::uint8_t {
     Event,         ///< whole run replayed through the engine
@@ -95,15 +103,19 @@ struct HybridStats {
   std::int64_t ops_collapsed = 0;  ///< replay steps that skipped the engine
 };
 
-/// How representative-epoch sampling fared on one run (SimMode::Auto over
-/// a fully-analytic trace without trace emission; all zeros otherwise).
-/// Every epoch's costs come from a bit-identical exemplar, so the
-/// prediction is bitwise-equal to full simulation.
+/// How epoch dedup fared on one run: the engine-free walk's sampling
+/// (SimMode::Auto over a fully-analytic trace without trace emission) or
+/// the event path's memo (SimMode::Auto replaying through the engine over
+/// a trace with an epoch-class table); all zeros otherwise.  Every epoch's
+/// costs come from a bit-identical exemplar, so the prediction is
+/// bitwise-equal to full simulation.
 struct SamplingStats {
-  bool active = false;             ///< the sampled walk actually ran
+  bool active = false;             ///< sampling or the memo ran
   std::int64_t epochs = 0;         ///< barrier-delimited epochs in the trace
   std::int64_t classes = 0;        ///< bit-identical epoch classes
-  std::int64_t epochs_simulated = 0;    ///< exemplar walks performed
+  std::int64_t epochs_simulated = 0;    ///< exemplar walks performed, or
+                                        ///  epochs replayed through the
+                                        ///  engine (memo misses)
   std::int64_t epochs_replayed = 0;     ///< non-recurring (count-1) epochs
                                         ///  replayed exactly, warmup/teardown
   /// |sampled − exact| makespan error: always zero, since dedup is exact.

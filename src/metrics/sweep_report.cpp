@@ -95,14 +95,14 @@ std::string render_sweep(const SweepReport& r, bool chart) {
   if (st.cells_event + st.cells_hybrid > 0) {
     os << "(simulate: " << st.cells_event << " event cell(s), "
        << st.cells_hybrid << " hybrid cell(s), " << st.cells_sampled
-       << " epoch-sampled cell(s); " << st.sim_events_fired
+       << " epoch-deduped cell(s); " << st.sim_events_fired
        << " engine event(s), " << st.sim_segments_collapsed << "/"
        << st.sim_segments_total << " segment(s) collapsed";
     if (st.cells_sampled > 0)
-      os << "; " << st.sim_epochs_simulated << " exemplar(s) walked for "
-         << st.sim_epochs_total << " epoch(s) in " << st.sim_epoch_classes
+      os << "; " << st.sim_epochs_simulated << " of " << st.sim_epochs_total
+         << " epoch(s) simulated in " << st.sim_epoch_classes
          << " class(es), " << st.sim_epochs_replayed
-         << " non-recurring replayed exactly";
+         << " non-recurring";
     os << ")\n";
   }
   return os.str();

@@ -30,8 +30,8 @@ struct SweepSeries {
 
 /// Simulate-path attribution of a sweep, summed over its predictions: how
 /// the grid's replay work split between the event engine, the engine-free
-/// analytic path and representative-epoch sampling (events fired vs
-/// segments skipped vs trace length skipped).
+/// analytic path and epoch dedup — the engine-free walk's sampling or the
+/// event path's memo (events fired vs segments skipped vs epochs skipped).
 struct SweepPaths {
   std::int64_t cells_event = 0;     ///< cells replayed through the engine
   std::int64_t cells_hybrid = 0;    ///< cells on the engine-free path
@@ -40,11 +40,12 @@ struct SweepPaths {
   std::int64_t sim_segments_total = 0;     ///< all segments, whole grid
   std::int64_t sim_ops_collapsed = 0;      ///< replay steps skipped
 
-  // Cells that took the sampled path (core::SamplingStats).
-  std::int64_t cells_sampled = 0;        ///< cells on the sampled path
-  std::int64_t sim_epochs_total = 0;     ///< epochs across sampled cells
-  std::int64_t sim_epoch_classes = 0;    ///< distinct classes, sampled cells
-  std::int64_t sim_epochs_simulated = 0; ///< exemplar walks performed
+  // Cells whose epochs were deduped (core::SamplingStats::active).
+  std::int64_t cells_sampled = 0;        ///< sampled or memoized cells
+  std::int64_t sim_epochs_total = 0;     ///< epochs across those cells
+  std::int64_t sim_epoch_classes = 0;    ///< distinct classes in them
+  std::int64_t sim_epochs_simulated = 0; ///< exemplar walks or engine-
+                                         ///  replayed epochs
   std::int64_t sim_epochs_replayed = 0;  ///< non-recurring epochs replayed
 };
 

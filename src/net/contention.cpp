@@ -22,8 +22,21 @@ double ContentionTracker::multiplier() const {
 }
 
 void ContentionTracker::inject() {
-  samples_.add(static_cast<double>(inflight_));
+  inflight_sum_ += inflight_;
+  ++injections_;
   ++inflight_;
+}
+
+double ContentionTracker::mean_inflight() const {
+  return injections_ == 0 ? 0.0
+                          : static_cast<double>(inflight_sum_) /
+                                static_cast<double>(injections_);
+}
+
+void ContentionTracker::credit(std::int64_t inflight_sum,
+                               std::int64_t injections) {
+  inflight_sum_ += inflight_sum;
+  injections_ += injections;
 }
 
 void ContentionTracker::deliver() {

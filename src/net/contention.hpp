@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "net/topology.hpp"
-#include "util/stats.hpp"
 
 namespace xp::net {
 
@@ -43,14 +42,24 @@ class ContentionTracker {
   void deliver();
 
   int inflight() const { return inflight_; }
-  /// Load statistics sampled at each injection (for reports).
-  const util::RunningStat& load_samples() const { return samples_; }
+
+  /// Load sampled at each injection: the in-flight count each one saw,
+  /// summed, and the number of injections.  Integer totals, so the sums
+  /// over disjoint stretches of a run add up exactly.
+  std::int64_t inflight_sum() const { return inflight_sum_; }
+  std::int64_t injections() const { return injections_; }
+  /// Mean in-flight count an injection saw (0 before the first one).
+  double mean_inflight() const;
+  /// Account injections whose load was sampled elsewhere (a replay window
+  /// core::Simulator skipped) without changing the current in-flight count.
+  void credit(std::int64_t inflight_sum, std::int64_t injections);
 
  private:
   ContentionParams p_;
   double capacity_;
   int inflight_ = 0;
-  util::RunningStat samples_;
+  std::int64_t inflight_sum_ = 0;
+  std::int64_t injections_ = 0;
 };
 
 }  // namespace xp::net

@@ -19,11 +19,21 @@ void Network::send(int src, int dst, std::int64_t bytes,
   contention_.inject();
   ++messages_;
   bytes_ += bytes;
-  wire_stat_.add(wire.to_us());
   engine_.schedule_after(wire, [this, cb = std::move(on_delivery)]() mutable {
     contention_.deliver();
     cb();
   });
+}
+
+Tally Network::tally() const {
+  return {messages_, bytes_, contention_.inflight_sum(),
+          contention_.injections()};
+}
+
+void Network::credit(const Tally& d) {
+  messages_ += d.messages;
+  bytes_ += d.bytes;
+  contention_.credit(d.inflight_sum, d.injections);
 }
 
 Time Network::preview_wire(int src, int dst, std::int64_t bytes) const {

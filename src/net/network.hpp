@@ -15,13 +15,27 @@
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "util/inplace_function.hpp"
-#include "util/stats.hpp"
 
 namespace xp::net {
 
 struct NetworkParams {
   TopologyKind topology = TopologyKind::FatTree;
   ContentionParams contention;
+};
+
+/// A network's running traffic totals.  Every field is an integer sum, so
+/// the difference taken over one stretch of a run can be credited back
+/// bit for bit (core::Simulator's epoch memo replays windows that way).
+struct Tally {
+  std::int64_t messages = 0;
+  std::int64_t bytes = 0;
+  std::int64_t inflight_sum = 0;  ///< ContentionTracker::inflight_sum()
+  std::int64_t injections = 0;    ///< ContentionTracker::injections()
+
+  Tally operator-(const Tally& o) const {
+    return {messages - o.messages, bytes - o.bytes,
+            inflight_sum - o.inflight_sum, injections - o.injections};
+  }
 };
 
 class Network {
@@ -48,10 +62,11 @@ class Network {
   // Aggregate statistics for reports.
   std::int64_t messages_sent() const { return messages_; }
   std::int64_t bytes_sent() const { return bytes_; }
-  const util::RunningStat& wire_times() const { return wire_stat_; }
-  const util::RunningStat& load_samples() const {
-    return contention_.load_samples();
-  }
+  const ContentionTracker& contention() const { return contention_; }
+  Tally tally() const;
+  /// Add traffic that was accounted outside send() (a skipped replay
+  /// window); nothing is injected or delivered.
+  void credit(const Tally& d);
 
  private:
   sim::Engine& engine_;
@@ -60,7 +75,6 @@ class Network {
   ContentionTracker contention_;
   std::int64_t messages_ = 0;
   std::int64_t bytes_ = 0;
-  util::RunningStat wire_stat_;
 };
 
 }  // namespace xp::net

@@ -98,11 +98,12 @@ struct QueryResult {
   std::int64_t compute_ns = 0;
   std::int64_t comm_wait_ns = 0;
   std::int64_t barrier_wait_ns = 0;
-  // Representative-epoch sampling attribution (core::SamplingStats); zero
-  // when the query's simulation did not take the sampled path.
+  // Epoch-dedup attribution (core::SamplingStats): the engine-free walk's
+  // sampling or the event path's memo; zero when neither ran.
   std::int64_t sampling_epochs = 0;      ///< epochs in the replayed trace
   std::int64_t sampling_classes = 0;     ///< distinct epoch classes
-  std::int64_t sampling_simulated = 0;   ///< exemplar epochs actually walked
+  std::int64_t sampling_simulated = 0;   ///< epochs actually walked or
+                                         ///  replayed through the engine
   /// core::SamplingStats::error_bound: always zero (dedup is exact).
   std::int64_t sampling_error_bound_ns = 0;
 

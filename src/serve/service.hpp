@@ -137,8 +137,8 @@ class Service {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> queries_ok_{0};
   std::atomic<std::uint64_t> queries_err_{0};
-  /// Representative-epoch sampling: queries whose simulation took the
-  /// sampled path, and the epoch replay it covered vs actually performed.
+  /// Epoch dedup (sampling or the memo): queries whose simulation deduped
+  /// epochs, and the epoch replay it covered vs actually performed.
   std::atomic<std::uint64_t> queries_sampled_{0};
   std::atomic<std::uint64_t> sampling_epochs_total_{0};
   std::atomic<std::uint64_t> sampling_epochs_simulated_{0};

@@ -63,7 +63,8 @@ class Trace {
   std::string meta(const std::string& key, const std::string& def = "") const;
   const std::map<std::string, std::string>& all_meta() const { return meta_; }
 
-  /// Stable sort by timestamp (preserves issue order at equal times).
+  /// Stable sort by timestamp (preserves issue order at equal times); a
+  /// no-op on an already time-ordered trace.
   void sort_by_time();
 
   /// True if events are non-decreasing in time.

@@ -190,7 +190,9 @@ TEST(Network, ConcurrentMessagesSeeContention) {
   eng.run();
   EXPECT_EQ(t1, Time::us(10));
   EXPECT_EQ(t2, Time::us(20));  // x2 multiplier
-  EXPECT_GT(net.load_samples().mean(), 0.0);
+  EXPECT_EQ(net.contention().inflight_sum(), 1);  // 0 then 1 in flight
+  EXPECT_EQ(net.contention().injections(), 2);
+  EXPECT_EQ(net.contention().mean_inflight(), 0.5);
 }
 
 TEST(Network, PreviewDoesNotInject) {

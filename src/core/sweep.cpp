@@ -1,6 +1,7 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <limits>
@@ -37,13 +38,13 @@ std::size_t TranslateKeyHash::operator()(const TranslateKey& k) const {
 
 struct TranslateCache::Entry {
   util::OnceCell<std::shared_ptr<const TranslatedTrace>> cell;
-  std::atomic<std::uint64_t> last_use{0};  ///< LRU tick of the last access
-  std::atomic<std::size_t> bytes{0};       ///< footprint once computed
+  std::uint64_t last_use = 0;  ///< LRU tick of the last access
+  /// Footprint, set under the cache lock once the value is accounted; 0
+  /// while computing or not yet accounted, and such entries never evict.
+  std::size_t bytes = 0;
 };
 
-void TranslateCache::touch(Entry& e) const {
-  e.last_use.store(tick_.fetch_add(1) + 1, std::memory_order_relaxed);
-}
+void TranslateCache::touch(Entry& e) const { e.last_use = ++tick_; }
 
 std::size_t TranslateCache::footprint_bytes(const TranslatedTrace& tt) {
   std::size_t b = sizeof(TranslatedTrace);
@@ -64,156 +65,127 @@ std::size_t TranslateCache::footprint_bytes(const TranslatedTrace& tt) {
   return b;
 }
 
-void TranslateCache::account_insert(Entry& e, const TranslatedTrace& tt) {
-  const std::size_t b = footprint_bytes(tt);
-  e.bytes.store(b, std::memory_order_relaxed);
-  bytes_.fetch_add(b, std::memory_order_relaxed);
-  evict_to_budget();
-}
-
 void TranslateCache::set_byte_budget(std::size_t budget) {
-  budget_.store(budget);
+  std::lock_guard<std::mutex> lock(mu_);
+  budget_ = budget;
   evict_to_budget();
 }
 
-// Evict least-recently-used COMPLETED entries until the estimated bytes fit
-// the budget again.  Concurrency notes: each pass re-scans the shards under
-// their locks, so two racing evictors can pick the same victim — only the
-// one that still finds it in the map erases it and adjusts the accounting.
-// Entries still computing have unknown size and an imminent user; they are
-// skipped (their own account_insert() re-runs eviction once they finish).
-// The most recently used completed entry is never evicted, so a single
-// over-budget translation stays usable instead of thrashing miss-evict.
+// Evict least-recently-used accounted entries until the estimated bytes fit
+// the budget again.  Entries still computing (or computed but not yet
+// accounted) are skipped: their bytes are not in bytes_ yet, and their
+// requester accounts them and re-runs eviction under this same lock.  The
+// most recently used entry is never evicted, so a single over-budget
+// translation stays usable instead of thrashing miss-evict.
 void TranslateCache::evict_to_budget() {
-  const std::size_t budget = budget_.load();
-  if (budget == 0) return;
-  while (bytes_.load(std::memory_order_relaxed) > budget) {
-    TranslateKey victim_key{};
-    std::size_t victim_shard = 0;
-    std::uint64_t victim_tick = 0;
-    std::uint64_t newest_tick = 0;
-    std::size_t completed = 0;
-    bool found = false;
-    for (std::size_t s = 0; s < kShards; ++s) {
-      std::lock_guard<std::mutex> lock(shards_[s].mu);
-      for (const auto& [key, entry] : shards_[s].map) {
-        if (entry->cell.peek() == nullptr) continue;  // still computing
-        const std::uint64_t t = entry->last_use.load(std::memory_order_relaxed);
-        newest_tick = std::max(newest_tick, t);
-        ++completed;
-        if (!found || t < victim_tick) {
-          found = true;
-          victim_key = key;
-          victim_shard = s;
-          victim_tick = t;
-        }
-      }
+  if (budget_ == 0) return;
+  while (bytes_ > budget_) {
+    auto victim = map_.end();
+    std::size_t accounted = 0;
+    for (auto it = map_.begin(); it != map_.end(); ++it) {
+      if (it->second->bytes == 0) continue;
+      ++accounted;
+      if (victim == map_.end() ||
+          it->second->last_use < victim->second->last_use)
+        victim = it;
     }
-    // Nothing evictable, or the LRU entry is also the newest (it is the
-    // only completed entry): keep it.
-    if (!found || completed <= 1 || victim_tick == newest_tick) return;
-    Shard& shard = shards_[victim_shard];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(victim_key);
-    if (it == shard.map.end()) continue;  // a racing evictor beat us to it
-    // Re-check the tick: a toucher may have promoted the victim since the
-    // scan; if so, rescan rather than evict a hot entry.
-    if (it->second->last_use.load(std::memory_order_relaxed) != victim_tick)
-      continue;
-    bytes_.fetch_sub(it->second->bytes.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    shard.map.erase(it);
+    // Ticks are unique, so with two or more accounted entries the LRU one
+    // is not the newest.
+    if (accounted <= 1) return;
+    bytes_ -= victim->second->bytes;
+    ++evictions_;
+    map_.erase(victim);
   }
 }
 
-TranslateCache::Shard& TranslateCache::shard_for(const TranslateKey& key) {
-  // Top bits of the FNV hash: unordered_map buckets use the low bits, so
-  // shard choice and bucket choice stay decorrelated.
-  static_assert((kShards & (kShards - 1)) == 0, "kShards must be a power of 2");
-  const std::size_t h = TranslateKeyHash{}(key);
-  return shards_[(h >> (sizeof(std::size_t) * 8 - 4)) & (kShards - 1)];
-}
-
-const TranslateCache::Shard& TranslateCache::shard_for(
-    const TranslateKey& key) const {
-  return const_cast<TranslateCache*>(this)->shard_for(key);
-}
-
-std::shared_ptr<TranslateCache::Entry> TranslateCache::entry_for(
-    const TranslateKey& key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto& slot = shard.map[key];
-  if (!slot) slot = std::make_shared<Entry>();
-  return slot;
+std::shared_ptr<const TranslatedTrace> TranslateCache::insert(
+    const TranslateKey& key, const Prepare& prepare, bool count) {
+  std::shared_ptr<Entry> entry;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& slot = map_[key];
+    if (!slot) slot = std::make_shared<Entry>();
+    entry = slot;
+  }
+  bool computed = false;
+  const auto& value = entry->cell.get_or_init([&] {
+    computed = true;
+    return std::make_shared<const TranslatedTrace>(prepare());
+  });
+  std::lock_guard<std::mutex> lock(mu_);
+  touch(*entry);
+  if (count) ++(computed ? misses_ : hits_);
+  if (computed) {
+    entry->bytes = footprint_bytes(*value);
+    bytes_ += entry->bytes;
+    evict_to_budget();
+  }
+  return value;
 }
 
 std::shared_ptr<const TranslatedTrace> TranslateCache::get_or_prepare(
     const TranslateKey& key, const Measure& measure) {
   XP_REQUIRE(key.n_threads >= 1, "translate-cache key needs n_threads >= 1");
-  const auto entry = entry_for(key);
-  bool computed = false;
-  const auto& value = entry->cell.get_or_init([&] {
-    computed = true;
-    const trace::Trace measured = measure(key.n_threads);
-    XP_REQUIRE(measured.n_threads() == key.n_threads,
-               "measured trace thread count does not match the cache key");
-    return std::make_shared<const TranslatedTrace>(
-        prepare_trace(measured, key.topt));
-  });
-  touch(*entry);
-  if (computed) {
-    misses_.fetch_add(1);
-    account_insert(*entry, *value);
-  } else {
-    hits_.fetch_add(1);
-  }
-  return value;
+  return insert(
+      key,
+      [&] {
+        const trace::Trace measured = measure(key.n_threads);
+        XP_REQUIRE(measured.n_threads() == key.n_threads,
+                   "measured trace thread count does not match the cache key");
+        return prepare_trace(measured, key.topt);
+      },
+      true);
 }
 
 void TranslateCache::put(const trace::Trace& measured,
                          const TranslateOptions& topt) {
-  TranslateKey key;
-  key.n_threads = measured.n_threads();
-  key.topt = topt;
-  XP_REQUIRE(key.n_threads >= 1, "seed trace needs n_threads >= 1");
-  const auto entry = entry_for(key);
-  bool computed = false;
-  const auto& value = entry->cell.get_or_init([&] {
-    computed = true;
-    return std::make_shared<const TranslatedTrace>(
-        prepare_trace(measured, topt));
-  });
-  touch(*entry);
-  if (computed) account_insert(*entry, *value);
+  XP_REQUIRE(measured.n_threads() >= 1, "seed trace needs n_threads >= 1");
+  (void)insert(TranslateKey{measured.n_threads(), topt},
+               [&] { return prepare_trace(measured, topt); }, false);
 }
 
 std::shared_ptr<const TranslatedTrace> TranslateCache::get(
     const TranslateKey& key) const {
-  const Shard& shard = shard_for(key);
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it == shard.map.end()) return nullptr;
-    entry = it->second;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return nullptr;
   // peek() is nullptr while the entry is still computing, so a concurrent
   // get() observes either nothing or the complete immutable translation —
   // never a partially-constructed one.
-  const auto* v = entry->cell.peek();
-  if (v) touch(*entry);
-  return v ? *v : nullptr;
+  const auto* v = it->second->cell.peek();
+  if (!v) return nullptr;
+  touch(*it->second);
+  return *v;
 }
 
 std::size_t TranslateCache::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
+}
+
+std::uint64_t TranslateCache::hits() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return hits_;
+}
+
+std::uint64_t TranslateCache::misses() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return misses_;
+}
+
+std::size_t TranslateCache::byte_budget() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return budget_;
+}
+
+std::size_t TranslateCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
+}
+
+std::uint64_t TranslateCache::evictions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return evictions_;
 }
 
 SweepRunner::SweepRunner(ProgramFactory factory, SweepOptions opt)
@@ -270,23 +242,8 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
     };
   };
 
-  std::vector<std::size_t> order = opt_.submit_order;
-  if (order.empty()) {
-    order.resize(grid.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  } else {
-    XP_REQUIRE(order.size() == grid.size(),
-               "submit_order size does not match the grid");
-    std::vector<bool> seen(grid.size(), false);
-    for (std::size_t i : order) {
-      XP_REQUIRE(i < grid.size() && !seen[i],
-                 "submit_order is not a permutation of the grid indices");
-      seen[i] = true;
-    }
-  }
-
   // One pre-warm (measure -> translate -> compile) job per distinct thread
-  // count, each owning its key's cells in submit order.
+  // count, each owning its key's cells in grid order.
   struct PrewarmJob {
     TranslateKey key;
     std::vector<std::size_t> cells;
@@ -295,7 +252,7 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& grid) {
   };
   std::vector<PrewarmJob> jobs;
   std::unordered_map<TranslateKey, std::size_t, TranslateKeyHash> job_of_key;
-  for (std::size_t i : order) {
+  for (std::size_t i = 0; i < grid.size(); ++i) {
     TranslateKey key;
     key.n_threads = grid[i].n_threads;
     key.topt = opt_.translate;

@@ -31,8 +31,6 @@
 // mutate trace data.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,16 +56,16 @@ struct TranslateKeyHash {
 };
 
 /// Memoized measure+translate results, shared across the threads of a
-/// sweep.  Insertion is synchronized; each entry is computed exactly once
-/// (concurrent requesters of the same key block until it is ready) and is
-/// immutable afterwards.
+/// sweep.  Each entry is computed exactly once (concurrent requesters of
+/// the same key block until it is ready) and is immutable afterwards.
 ///
-/// The key map is SHARDED by key hash: concurrent lookups of distinct keys
-/// take independent mutexes, so a pool's simulation fan-out (every cell
-/// resolves its trace through here) never serializes on one cache-wide
-/// lock.  Each shard's lock only covers the entry lookup — measurement and
-/// translation run outside it under the entry's own OnceCell, so a slow
-/// miss never blocks hits on other keys of the same shard either.
+/// One mutex guards the key map, the LRU clock, the hit/miss counts and
+/// the byte accounting.  It is held only for lookups and bookkeeping:
+/// measurement and translation run outside it under the entry's own
+/// OnceCell, so a slow miss never blocks lookups of other keys.  The
+/// heaviest user (the serve daemon) makes one lookup per query, a few
+/// thousand per second at most, far below what one uncontended mutex
+/// serves (DESIGN.md §10).
 ///
 /// Long-lived holders (the xp::serve daemon keeps one cache per source hot
 /// for the process lifetime) can cap the resident footprint with
@@ -88,23 +86,24 @@ class TranslateCache {
       const TranslateKey& key, const Measure& measure);
 
   /// Seed an entry from an already-measured trace (keyed by the trace's
-  /// own thread count).  No-op if the key is already present.
+  /// own thread count).  No-op if the key is already present; counts
+  /// neither a hit nor a miss.
   void put(const trace::Trace& measured, const TranslateOptions& topt = {});
 
   /// The entry for `key`, or nullptr if absent.
   std::shared_ptr<const TranslatedTrace> get(const TranslateKey& key) const;
 
   std::size_t size() const;
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t misses() const { return misses_.load(); }
+  std::uint64_t hits() const;
+  std::uint64_t misses() const;
 
   /// Cap the estimated resident bytes of completed entries; 0 (the
   /// default) means unbounded.  May evict immediately if already over.
   void set_byte_budget(std::size_t budget);
-  std::size_t byte_budget() const { return budget_.load(); }
+  std::size_t byte_budget() const;
   /// Estimated bytes held by completed entries still in the map.
-  std::size_t bytes() const { return bytes_.load(); }
-  std::uint64_t evictions() const { return evictions_.load(); }
+  std::size_t bytes() const;
+  std::uint64_t evictions() const;
 
   /// The footprint estimate eviction accounts with: translated events plus
   /// the compiled SoA arrays (the two allocations that dominate an entry).
@@ -112,27 +111,26 @@ class TranslateCache {
 
  private:
   struct Entry;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<TranslateKey, std::shared_ptr<Entry>, TranslateKeyHash>
-        map;
-  };
-  static constexpr std::size_t kShards = 16;
+  using Prepare = std::function<TranslatedTrace()>;
 
-  Shard& shard_for(const TranslateKey& key);
-  const Shard& shard_for(const TranslateKey& key) const;
-  std::shared_ptr<Entry> entry_for(const TranslateKey& key);
-  void touch(Entry& e) const;
-  void account_insert(Entry& e, const TranslatedTrace& tt);
-  void evict_to_budget();
+  /// The one insert path of get_or_prepare() and put(): the entry for
+  /// `key`, computed by `prepare` on first use; `count` selects whether
+  /// the lookup counts as a hit or a miss.
+  std::shared_ptr<const TranslatedTrace> insert(const TranslateKey& key,
+                                                const Prepare& prepare,
+                                                bool count);
+  void touch(Entry& e) const;  ///< requires mu_
+  void evict_to_budget();      ///< requires mu_
 
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> tick_{0};  ///< LRU clock
-  std::atomic<std::size_t> budget_{0};
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  mutable std::mutex mu_;
+  std::unordered_map<TranslateKey, std::shared_ptr<Entry>, TranslateKeyHash>
+      map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  mutable std::uint64_t tick_ = 0;  ///< LRU clock
+  std::size_t budget_ = 0;
+  std::size_t bytes_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
 /// One grid cell: extrapolate to `n_threads` processors under `params`.
@@ -172,10 +170,6 @@ struct SweepOptions {
   TranslateOptions translate;
   /// Measurement host for cache misses (n_threads comes from each key).
   rt::HostMachine host = rt::sun4_host();
-  /// Task submission order as grid indices (empty = natural order).  A
-  /// permutation; exposed so the determinism tests can prove submission
-  /// order does not leak into results.
-  std::vector<std::size_t> submit_order;
   /// Keep each prediction's extrapolated trace (SimOptions::emit_trace).
   /// phase_fit and pattern composition read them, so they stay on by
   /// default; prediction-only sweeps can turn them off, which also lets

@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -14,8 +13,7 @@ namespace xp::fiber {
 
 namespace {
 
-constexpr std::size_t kMaxFreePerSize = 32;       // shared pool, per size
-constexpr std::size_t kMaxLocalFreePerSize = 8;   // per-thread cache, per size
+constexpr std::size_t kMaxFreePerSize = 32;  // free stacks kept per size
 
 // Beyond this many live stacks, new stacks come from SLABS: one mapping
 // holding kSlabStacks stacks with no interior guard pages.  A guarded
@@ -32,23 +30,13 @@ std::size_t page_size() {
   return ps;
 }
 
-// Counters are atomics so the lock-free thread-local fast path can account
-// without touching the shared pool's mutex (relaxed: they are statistics,
-// not synchronization).
-struct AtomicStats {
-  std::atomic<std::uint64_t> mapped{0};
-  std::atomic<std::uint64_t> reused{0};
-  std::atomic<std::uint64_t> unmapped{0};
-  std::atomic<std::int64_t> active{0};
-};
-
 struct Pool {
   std::mutex mu;
   // Free stacks keyed by USABLE bytes, so guarded and slab-backed stacks
   // of one size class share a free list (their map_bytes differ by the
   // guard page).
   std::unordered_map<std::size_t, std::vector<StackSpan>> free_by_size;
-  AtomicStats stats;
+  StackPoolStats stats;
 
   ~Pool() {
     for (auto& [bytes, spans] : free_by_size)
@@ -61,42 +49,14 @@ Pool& pool() {
   return p;
 }
 
-// Per-thread stack cache in front of the shared pool.  A Scheduler is
-// confined to one OS thread and releases a finished fiber's stack on that
-// same thread, so a measurement sweep's fiber churn is served entirely from
-// this cache — no shared-pool mutex on the hot path, which is what let
-// concurrent pool workers measure without serializing on stack recycling.
-// On thread exit the cache drains into the shared pool (the worker that
-// measured first hands its stacks to whichever worker measures next).
-struct LocalCache {
-  Pool* shared;  // captured eagerly: keeps destruction ordered after pool()
-  std::unordered_map<std::size_t, std::vector<StackSpan>> free_by_size;
-
-  explicit LocalCache(Pool* p) : shared(p) {}
-
-  ~LocalCache() {
-    for (auto& [bytes, spans] : free_by_size) {
-      std::vector<StackSpan> overflow;
-      {
-        std::lock_guard<std::mutex> lock(shared->mu);
-        auto& dst = shared->free_by_size[bytes];
-        for (StackSpan& s : spans) {
-          if (dst.size() < kMaxFreePerSize)
-            dst.push_back(s);
-          else
-            overflow.push_back(s);
-        }
-      }
-      shared->stats.unmapped.fetch_add(overflow.size(),
-                                       std::memory_order_relaxed);
-      for (const StackSpan& s : overflow) ::munmap(s.map_base, s.map_bytes);
-    }
-  }
-};
-
-LocalCache& local_cache() {
-  thread_local LocalCache cache(&pool());
-  return cache;
+// A stack at the high end of [base, base + map_bytes) with `usable` bytes.
+StackSpan span_at(void* base, std::size_t map_bytes, std::size_t usable) {
+  StackSpan s;
+  s.map_base = base;
+  s.map_bytes = map_bytes;
+  s.top = static_cast<char*>(base) + map_bytes;
+  s.usable = usable;
+  return s;
 }
 
 }  // namespace
@@ -107,55 +67,37 @@ StackSpan stack_acquire(std::size_t usable_bytes) {
   const std::size_t usable = ((usable_bytes + ps - 1) / ps) * ps;
 
   Pool& p = pool();
-  LocalCache& local = local_cache();
-  {
-    auto it = local.free_by_size.find(usable);
-    if (it != local.free_by_size.end() && !it->second.empty()) {
-      StackSpan s = it->second.back();
-      it->second.pop_back();
-      p.stats.reused.fetch_add(1, std::memory_order_relaxed);
-      p.stats.active.fetch_add(1, std::memory_order_relaxed);
-      return s;
-    }
-  }
+  bool slab = false;
   {
     std::lock_guard<std::mutex> lock(p.mu);
-    auto it = p.free_by_size.find(usable);
-    if (it != p.free_by_size.end() && !it->second.empty()) {
-      StackSpan s = it->second.back();
-      it->second.pop_back();
-      p.stats.reused.fetch_add(1, std::memory_order_relaxed);
-      p.stats.active.fetch_add(1, std::memory_order_relaxed);
+    auto& spans = p.free_by_size[usable];
+    if (!spans.empty()) {
+      const StackSpan s = spans.back();
+      spans.pop_back();
+      ++p.stats.reused;
+      ++p.stats.active;
       return s;
     }
+    slab = p.stats.active >= kGuardedStackLimit;
   }
 
-  const std::int64_t active = p.stats.active.load(std::memory_order_relaxed);
-  if (active >= 0 && static_cast<std::size_t>(active) >= kGuardedStackLimit) {
+  if (slab) {
     // Slab path (see kGuardedStackLimit): one vma for kSlabStacks stacks.
     // No interior guards — an overflow runs into the neighboring fiber's
     // stack instead of faulting, the price of 10^5-fiber measurements.
-    const std::size_t slab_bytes = usable * kSlabStacks;
-    void* base = ::mmap(nullptr, slab_bytes, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    // The spare stacks go into the free list past its per-size cap; the
+    // cap applies again as they are released.
+    char* base = static_cast<char*>(
+        ::mmap(nullptr, usable * kSlabStacks, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
     XP_CHECK(base != MAP_FAILED, "mmap of fiber stack slab failed");
-    p.stats.mapped.fetch_add(kSlabStacks, std::memory_order_relaxed);
-    auto& inventory = local.free_by_size[usable];
-    for (std::size_t i = 1; i < kSlabStacks; ++i) {
-      StackSpan s;
-      s.map_base = static_cast<char*>(base) + i * usable;
-      s.map_bytes = usable;
-      s.top = static_cast<char*>(s.map_base) + usable;
-      s.usable = usable;
-      inventory.push_back(s);
-    }
-    StackSpan s;
-    s.map_base = base;
-    s.map_bytes = usable;
-    s.top = static_cast<char*>(base) + usable;
-    s.usable = usable;
-    p.stats.active.fetch_add(1, std::memory_order_relaxed);
-    return s;
+    std::lock_guard<std::mutex> lock(p.mu);
+    auto& spans = p.free_by_size[usable];
+    for (std::size_t i = 1; i < kSlabStacks; ++i)
+      spans.push_back(span_at(base + i * usable, usable, usable));
+    p.stats.mapped += kSlabStacks;
+    ++p.stats.active;
+    return span_at(base, usable, usable);
   }
 
   const std::size_t map_bytes = usable + ps;  // + guard page
@@ -164,64 +106,42 @@ StackSpan stack_acquire(std::size_t usable_bytes) {
   XP_CHECK(base != MAP_FAILED, "mmap of fiber stack failed");
   XP_CHECK(::mprotect(base, ps, PROT_NONE) == 0,
            "mprotect of fiber stack guard page failed");
-
-  StackSpan s;
-  s.map_base = base;
-  s.map_bytes = map_bytes;
-  s.top = static_cast<char*>(base) + map_bytes;
-  s.usable = usable;
-  p.stats.mapped.fetch_add(1, std::memory_order_relaxed);
-  p.stats.active.fetch_add(1, std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(p.mu);
+  ++p.stats.mapped;
+  ++p.stats.active;
+  return span_at(base, map_bytes, usable);
 }
 
 void stack_release(StackSpan s) {
   if (!s) return;
   Pool& p = pool();
-  p.stats.active.fetch_sub(1, std::memory_order_relaxed);
-  auto& local = local_cache().free_by_size[s.usable];
-  if (local.size() < kMaxLocalFreePerSize) {
-    local.push_back(s);
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(p.mu);
+    --p.stats.active;
     auto& spans = p.free_by_size[s.usable];
     if (spans.size() < kMaxFreePerSize) {
       spans.push_back(s);
       return;
     }
+    ++p.stats.unmapped;
   }
-  p.stats.unmapped.fetch_add(1, std::memory_order_relaxed);
   ::munmap(s.map_base, s.map_bytes);
 }
 
 StackPoolStats stack_pool_stats() {
   Pool& p = pool();
-  StackPoolStats out;
-  out.mapped = p.stats.mapped.load(std::memory_order_relaxed);
-  out.reused = p.stats.reused.load(std::memory_order_relaxed);
-  out.unmapped = p.stats.unmapped.load(std::memory_order_relaxed);
-  const std::int64_t active = p.stats.active.load(std::memory_order_relaxed);
-  out.active = active > 0 ? static_cast<std::uint64_t>(active) : 0;
-  return out;
+  std::lock_guard<std::mutex> lock(p.mu);
+  return p.stats;
 }
 
 void stack_pool_trim() {
   Pool& p = pool();
   std::unordered_map<std::size_t, std::vector<StackSpan>> drop;
-  local_cache().free_by_size.swap(drop);
   {
     std::lock_guard<std::mutex> lock(p.mu);
-    for (auto& [bytes, spans] : p.free_by_size) {
-      auto& dst = drop[bytes];
-      dst.insert(dst.end(), spans.begin(), spans.end());
-    }
-    p.free_by_size.clear();
+    drop.swap(p.free_by_size);
+    for (const auto& [bytes, spans] : drop) p.stats.unmapped += spans.size();
   }
-  std::uint64_t n = 0;
-  for (const auto& [bytes, spans] : drop) n += spans.size();
-  p.stats.unmapped.fetch_add(n, std::memory_order_relaxed);
   for (const auto& [bytes, spans] : drop)
     for (const StackSpan& s : spans) ::munmap(s.map_base, s.map_bytes);
 }

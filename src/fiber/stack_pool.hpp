@@ -14,14 +14,11 @@
 //    is the peak number of *started, unfinished* fibers, not the spawn
 //    count.
 //
-// The free list is two-level: a lock-free THREAD-LOCAL cache in front of a
-// mutex-guarded process-wide pool.  Schedulers are confined to one OS
-// thread and release stacks on the acquiring thread, so steady-state fiber
-// churn (the sweep engine's concurrent measurements) recycles stacks
-// entirely within each pool worker — zero shared-mutex traffic on the hot
-// path.  A thread's cache drains into the shared pool when the thread
-// exits.  Each level holds a bounded number of stacks per size class;
-// overflow unmaps immediately, bounding idle memory.
+// The free list is one mutex-guarded table shared by all threads, holding
+// at most 32 stacks per size class; overflow unmaps immediately, bounding
+// idle memory.  A sweep pass acquires and releases a few hundred stacks,
+// so one uncontended lock per operation is noise (DESIGN.md §10), and
+// stacks freed by one worker serve the next worker's measurement directly.
 //
 // Huge fiber counts (the hybrid simulator's 10^5-thread measurements)
 // switch to SLAB allocation: past kGuardedStackLimit live stacks, new
@@ -63,10 +60,8 @@ void stack_release(StackSpan s);
 
 StackPoolStats stack_pool_stats();
 
-/// Unmap every pooled (free) stack reachable from this thread: the shared
-/// pool plus the calling thread's local cache (other threads' caches drain
-/// when those threads exit).  Tests use this to take delta-free baselines;
-/// safe at any time, acquired stacks are unaffected.
+/// Unmap every pooled (free) stack.  Tests use this to take delta-free
+/// baselines; safe at any time, acquired stacks are unaffected.
 void stack_pool_trim();
 
 }  // namespace xp::fiber

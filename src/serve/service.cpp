@@ -78,18 +78,24 @@ std::shared_ptr<Service::Source> Service::session_source(
   return it == sessions_.end() ? nullptr : it->second;
 }
 
-std::uint64_t Service::open_trace_session(const trace::Trace& measured) {
+std::uint64_t Service::open_trace(const std::string& xptb,
+                                  const trace::Trace& measured) {
   XP_REQUIRE(measured.n_threads() >= 1, "trace session needs n_threads >= 1");
-  std::ostringstream os;
-  trace::write_binary(measured, os);
-  const std::string bytes = os.str();
-  auto src = source_for("trace:" + fnv1a_hex(bytes), [&] {
+  // Keyed by the XPTB bytes: the writer is deterministic, so an upload and
+  // a direct open of the same trace land on one source.
+  auto src = source_for("trace:" + fnv1a_hex(xptb), [&] {
     Source s;
     s.is_bench = false;
     s.measured = std::make_shared<const trace::Trace>(measured);
     return s;
   });
   return register_session(std::move(src));
+}
+
+std::uint64_t Service::open_trace_session(const trace::Trace& measured) {
+  std::ostringstream os;
+  trace::write_binary(measured, os);
+  return open_trace(os.str(), measured);
 }
 
 std::uint64_t Service::open_bench_session(const std::string& name) {
@@ -308,19 +314,9 @@ std::string Service::dispatch(const Frame& frame) {
     case MsgType::LoadTrace: {
       std::istringstream is(frame.body);
       const trace::Trace measured = trace::read_binary(is);
-      // Fingerprint the wire bytes directly: the writer is deterministic,
-      // so the direct API's re-serialization lands on the same key.
-      auto src = source_for("trace:" + fnv1a_hex(frame.body), [&] {
-        Source s;
-        s.is_bench = false;
-        s.measured = std::make_shared<const trace::Trace>(measured);
-        return s;
-      });
-      const int n_threads = src->measured->n_threads();
-      const std::uint64_t id = register_session(std::move(src));
       WireWriter w;
-      w.u64(id);
-      w.i32(n_threads);
+      w.u64(open_trace(frame.body, measured));
+      w.i32(measured.n_threads());
       return ok_reply_body(w.data());
     }
     case MsgType::OpenBench: {

@@ -1,7 +1,7 @@
 // xp::serve request execution — the daemon's socket-free core.
 //
 // Service owns everything behind the protocol verbs: the session table,
-// the per-source sharded core::TranslateCache instances (kept hot for the
+// the per-source core::TranslateCache instances (kept hot for the
 // process lifetime and SHARED across connections — two sessions over the
 // same uploaded trace or benchmark name resolve to one cache), the
 // util::ThreadPool the query batches fan out over, and the stats counters.
@@ -14,8 +14,8 @@
 //     over the pool, and the completion callback fires on the worker that
 //     finishes the batch's last query;
 //   * session/source tables are a single mutex (touched per request, not
-//     per query); the caches behind them are the sharded TranslateCache,
-//     so concurrent queries contend only on their key's shard;
+//     per query); each cache behind them is one mutex too, held for a
+//     lookup (one per query) and never across a measurement;
 //   * query results are written by batch index, never completion order, so
 //     a served batch is deterministic and bitwise-reproducible.
 #pragma once
@@ -104,6 +104,10 @@ class Service {
 
   std::shared_ptr<Source> source_for(const std::string& fingerprint,
                                      const std::function<Source()>& make);
+  /// A session over an uploaded trace: `xptb` is its XPTB encoding (the
+  /// source fingerprint), `measured` the same trace decoded.
+  std::uint64_t open_trace(const std::string& xptb,
+                           const trace::Trace& measured);
   std::uint64_t register_session(std::shared_ptr<Source> src);
   std::shared_ptr<Source> session_source(std::uint64_t id) const;
   /// The source's translated trace for `n` threads, measured (bench) or

@@ -8,7 +8,10 @@
 // serialized extrapolated event stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -186,21 +189,39 @@ TEST(SweepRunner, FactoryPathMatchesSeededPath) {
   EXPECT_EQ(from_seed.stages.measure_cpu_s, 0.0);
 }
 
+// Runs `grid` permuted by `order` (cell j is grid[order[j]]) and returns
+// the result with grid and predictions back in the original grid order,
+// so permuted runs compare by original index.
+SweepResult run_permuted(SweepRunner& runner,
+                         const std::vector<SweepPoint>& grid,
+                         const std::vector<std::size_t>& order) {
+  std::vector<SweepPoint> permuted;
+  for (std::size_t i : order) permuted.push_back(grid[i]);
+  SweepResult r = runner.run(permuted);
+  std::vector<Prediction> by_index(grid.size());
+  for (std::size_t j = 0; j < order.size(); ++j)
+    by_index[order[j]] = std::move(r.predictions[j]);
+  r.grid = grid;
+  r.predictions = std::move(by_index);
+  return r;
+}
+
 TEST(SweepRunner, DeterministicAcrossRunsAndSubmissionOrders) {
   const auto grid = test_grid();
   const auto traces = measure_all(grid);
 
-  const auto run_with = [&](std::vector<std::size_t> order) {
+  const auto run_with = [&](const std::vector<std::size_t>& order) {
     SweepOptions opt;
     opt.n_workers = 4;
-    opt.submit_order = std::move(order);
     SweepRunner runner(opt);
     for (const auto& [n, t] : traces) runner.seed_trace(t);
-    return serialize(runner.run(grid));
+    return serialize(run_permuted(runner, grid, order));
   };
 
-  const std::string first = run_with({});
-  const std::string second = run_with({});
+  std::vector<std::size_t> natural(grid.size());
+  for (std::size_t i = 0; i < natural.size(); ++i) natural[i] = i;
+  const std::string first = run_with(natural);
+  const std::string second = run_with(natural);
   EXPECT_EQ(first, second) << "repeated sweep is not byte-identical";
 
   // A deterministic shuffle: reversed order, then odd/even interleave.
@@ -210,11 +231,11 @@ TEST(SweepRunner, DeterministicAcrossRunsAndSubmissionOrders) {
   for (std::size_t i = grid.size(); i-- > 0;)
     if (i % 2 == 1) shuffled.push_back(i);
   const std::string third = run_with(shuffled);
-  EXPECT_EQ(first, third) << "submission order leaked into the results";
+  EXPECT_EQ(first, third) << "grid order leaked into the results";
 }
 
 // Property test: for a RANDOMIZED grid (random sizes, random machine per
-// cell, random duplicate structure) and a RANDOMIZED submission order,
+// cell, random duplicate structure) submitted in a RANDOMIZED order,
 // predictions are bitwise-identical across n_workers ∈ {1, 2, 8}, identical
 // to the sequential event-driven path, and the cache accounting invariant
 // `hits + misses == grid size` holds in every configuration.  The RNG is
@@ -252,10 +273,9 @@ TEST(SweepRunner, RandomizedGridsAreWorkerCountInvariant) {
 
       SweepOptions opt;
       opt.n_workers = workers;
-      opt.submit_order = std::move(order);
       SweepRunner runner(opt);
       for (const auto& [n, t] : traces) runner.seed_trace(t);
-      const SweepResult result = runner.run(grid);
+      const SweepResult result = run_permuted(runner, grid, order);
 
       ASSERT_EQ(result.predictions.size(), grid.size());
       EXPECT_EQ(result.cache_hits + result.cache_misses, grid.size())
@@ -303,16 +323,6 @@ TEST(SweepRunner, MissingFactoryAndSeedIsAnError) {
   p.n_threads = 2;
   p.params = model::ideal_preset();
   EXPECT_THROW(runner.run({p}), util::Error);
-}
-
-TEST(SweepRunner, RejectsBadSubmitOrder) {
-  SweepOptions opt;
-  opt.submit_order = {0, 0};  // not a permutation
-  SweepRunner runner([] { return std::make_unique<SweepProgram>(); }, opt);
-  SweepPoint p;
-  p.n_threads = 1;
-  p.params = model::ideal_preset();
-  EXPECT_THROW(runner.run({p, p}), util::Error);
 }
 
 // A program whose measurement fails at one thread count.
@@ -448,7 +458,7 @@ TEST(TranslateCache, MeasuresOncePerKeyUnderConcurrency) {
   EXPECT_EQ(cache.hits(), 31u);
 }
 
-// Concurrency regression for the sharded cache: N threads hammer
+// Concurrency regression for the cache: N threads hammer
 // get_or_prepare over OVERLAPPING keys.  Exactly one miss (one measurement)
 // per distinct key, every other call a hit, and every returned translation
 // complete and shared — the invariants that hold the sweep's
@@ -648,6 +658,94 @@ TEST(TranslateCache, UnboundedByDefaultAndBudgetIsLifted) {
   (void)cache.get_or_prepare(TranslateKey{6, {}},
                              [](int m) { return measure_n(m); });
   EXPECT_EQ(cache.evictions(), evicted);
+}
+
+// The property the one-lock cache relies on: the lock covers lookups and
+// bookkeeping only, so a miss still measuring never blocks another key.
+// Key A's measurement waits until a lookup of key B has returned on the
+// test thread.  The wait is bounded, so a regression fails instead of
+// hanging.
+TEST(TranslateCache, SlowMissNeverBlocksAnotherKey) {
+  TranslateCache cache;
+  cache.set_byte_budget(1);  // eviction runs on B's insert as well
+  std::promise<void> a_measuring;
+  std::promise<void> b_returned;
+  std::future<void> b_returned_future = b_returned.get_future();
+  bool a_released = false;
+  std::thread a([&] {
+    (void)cache.get_or_prepare(TranslateKey{2, {}}, [&](int n) {
+      a_measuring.set_value();
+      a_released = b_returned_future.wait_for(std::chrono::seconds(30)) ==
+                   std::future_status::ready;
+      return measure_n(n);
+    });
+  });
+  a_measuring.get_future().wait();
+  EXPECT_EQ(cache.get(TranslateKey{2, {}}), nullptr);  // still computing
+  EXPECT_NE(cache.get_or_prepare(TranslateKey{3, {}},
+                                 [](int n) { return measure_n(n); }),
+            nullptr);
+  b_returned.set_value();
+  a.join();
+  EXPECT_TRUE(a_released) << "a lookup of key B waited for key A's miss";
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
+// Budgeted stress: 8 threads over overlapping keys with a budget of about
+// two entries, so entries are inserted, hit and evicted concurrently.
+// Afterwards the byte accounting matches the entries still present, and
+// every miss is either present or evicted.  Runs under TSan in CI.
+TEST(TranslateCache, BudgetedConcurrentAccountingStaysExact) {
+  constexpr int kThreads = 8;
+  constexpr int kDistinctKeys = 5;
+  constexpr int kRoundsPerThread = 6;
+
+  std::size_t per_entry_max = 0;
+  {
+    TranslateCache sizing;
+    for (int n = 1; n <= kDistinctKeys; ++n)
+      per_entry_max = std::max(
+          per_entry_max,
+          TranslateCache::footprint_bytes(*sizing.get_or_prepare(
+              TranslateKey{n, {}}, [](int m) { return measure_n(m); })));
+  }
+
+  TranslateCache cache;
+  const std::size_t budget = 2 * per_entry_max;
+  cache.set_byte_budget(budget);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRoundsPerThread; ++r) {
+        for (int k = 0; k < kDistinctKeys; ++k) {
+          const TranslateKey key{1 + (k + t + r) % kDistinctKeys, {}};
+          const auto v =
+              cache.get_or_prepare(key, [](int m) { return measure_n(m); });
+          ASSERT_NE(v, nullptr);
+          EXPECT_EQ(v->n_threads, key.n_threads);
+          (void)cache.get(TranslateKey{1 + (k + 1) % kDistinctKeys, {}});
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::size_t present = 0;
+  std::size_t present_bytes = 0;
+  for (int n = 1; n <= kDistinctKeys; ++n) {
+    if (const auto v = cache.get(TranslateKey{n, {}})) {
+      ++present;
+      present_bytes += TranslateCache::footprint_bytes(*v);
+    }
+  }
+  EXPECT_EQ(cache.size(), present);
+  EXPECT_EQ(cache.bytes(), present_bytes);
+  EXPECT_LE(cache.bytes(), budget);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_EQ(cache.evictions(), cache.misses() - present);
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::uint64_t>(kThreads * kRoundsPerThread *
+                                       kDistinctKeys));
 }
 
 TEST(ThreadPool, DrainsAllTasksAndIsReusable) {
